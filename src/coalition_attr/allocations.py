@@ -9,13 +9,13 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dividends import dividends_fast
 from .games import Allocation, Game, GameError, coalition_label, dual_game, popcount_table
-from .orderings import Explicit, PartialOrderUniform, RandomOrderDistribution, SeededSampler, Uniform
+from .orderings import RandomOrderDistribution, SeededSampler, Uniform
 
 WEIGHT_TOL = 1e-9
 
@@ -81,16 +81,16 @@ def shapley_permutation(g: Game) -> Allocation:
     return Allocation(a.payoffs, "shapley-perm")
 
 
+def _equal_split(phi: np.ndarray, d: int) -> np.ndarray:
+    """Each nonempty coalition's dividend shared equally among its members."""
+    share = phi / np.maximum(popcount_table(d), 1)
+    masks = np.arange(1 << d)
+    return np.array([np.sum(share[(masks & (1 << j)) != 0]) for j in range(d)])
+
+
 def shapley_dividends(g: Game) -> Allocation:
     """Dividend-sharing Shapley: each coalition's dividend split equally."""
-    phi = dividends_fast(g).dividends
-    sizes = popcount_table(g.d)
-    payoffs = np.empty(g.d)
-    masks = np.arange(1 << g.d)
-    for j in range(g.d):
-        has_j = masks[(masks & (1 << j)) != 0]
-        payoffs[j] = np.sum(phi[has_j] / sizes[has_j])
-    return Allocation(payoffs, "shapley-div")
+    return Allocation(_equal_split(dividends_fast(g).dividends, g.d), "shapley-div")
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,10 @@ class WeightSystem:
         if self.preset not in self.PRESETS:
             raise GameError(f"unknown weight preset {self.preset!r}")
         for (j, mask), w in self.entries.items():
+            if j < 0 or mask < 0:
+                raise GameError(
+                    f"weight entry (player {j + 1}, coalition {mask}) is out of range"
+                )
             if w < 0:
                 raise GameError(f"negative weight for player {j + 1} on {coalition_label(mask)}")
             if not (mask >> j) & 1 and w != 0:
@@ -129,24 +133,35 @@ class WeightSystem:
             return 1.0 if mask & -mask == 1 << j else 0.0
         return 0.0
 
+    def _overrides(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stored entries as arrays (player, mask, w - preset weight) for d players."""
+        for j, mask in self.entries:
+            if j >= d or mask >= 1 << d:
+                raise GameError(f"weight entry (player {j + 1}, coalition {mask}) is out of range "
+                                f"for {d} players")
+        n = len(self.entries)
+        players = np.fromiter((j for j, _ in self.entries), np.int64, n)
+        masks = np.fromiter((m for _, m in self.entries), np.int64, n)
+        w = np.fromiter(self.entries.values(), float, n)
+        inside = (masks >> players) & 1 == 1
+        if self.preset == "egalitarian":
+            size = sum((masks >> k) & 1 for k in range(d))
+            return players, masks, w - inside / np.maximum(size, 1)
+        if self.preset == "min-owner":
+            return players, masks, w - ((masks & -masks) == 1 << players)
+        return players, masks, w
+
     def validate(self, d: int) -> None:
-        for mask in range(1, 1 << d):
-            total = 0.0
-            for j in range(d):
-                w = self.weight(j, mask)
-                if w < 0:
-                    raise GameError(
-                        f"negative weight for player {j + 1} on {coalition_label(mask)}"
-                    )
-                if not (mask >> j) & 1 and w != 0:
-                    raise GameError(
-                        f"weight assigned to player {j + 1} outside {coalition_label(mask)}"
-                    )
-                total += w
-            if abs(total - 1.0) > WEIGHT_TOL:
-                raise GameError(
-                    f"weights on {coalition_label(mask)} sum to {total}, expected 1"
-                )
+        """Check that every nonempty coalition's weights sum to 1 (presets do by
+        construction, so only the stored entries' deviations can move a total)."""
+        _, masks, delta = self._overrides(d)
+        totals = np.full(1 << d, 0.0 if self.preset == "custom" else 1.0)
+        np.add.at(totals, masks, delta)
+        bad = np.flatnonzero(~(np.abs(totals[1:] - 1.0) <= WEIGHT_TOL))
+        if bad.size:
+            mask = int(bad[0]) + 1
+            total = sum(self.weight(j, mask) for j in range(d))
+            raise GameError(f"weights on {coalition_label(mask)} sum to {total}, expected 1")
 
     @classmethod
     def from_json(cls, text: str) -> "WeightSystem":
@@ -164,13 +179,16 @@ def harsanyi_allocate(g: Game, weights: WeightSystem) -> Allocation:
     """Redistribute each nonempty coalition's dividend among its members."""
     weights.validate(g.d)
     phi = dividends_fast(g).dividends
-    payoffs = np.zeros(g.d)
-    for mask in range(1, 1 << g.d):
-        if phi[mask] == 0.0:
-            continue
-        for j in range(g.d):
-            if (mask >> j) & 1:
-                payoffs[j] += weights.weight(j, mask) * phi[mask]
+    if weights.preset == "egalitarian":
+        payoffs = _equal_split(phi, g.d)
+    elif weights.preset == "min-owner":
+        masks = np.arange(1, 1 << g.d)
+        lowest = np.frexp(masks & -masks)[1] - 1  # index of the lowest set bit
+        payoffs = np.bincount(lowest, weights=phi[1:], minlength=g.d)
+    else:
+        payoffs = np.zeros(g.d)
+    players, masks, delta = weights._overrides(g.d)
+    np.add.at(payoffs, players, delta * phi[masks])
     return Allocation(payoffs, f"harsanyi-{weights.preset}")
 
 
@@ -219,35 +237,29 @@ def weber_monte_carlo(
 def proportional_value(g: Game) -> Allocation:
     """Efficient allocation preserving payoff ratios across subgames.
 
-    Needs v(A) > 0 on every nonempty coalition. Subset recursion:
-    phi_i({i}) = v({i}), and for |S| >= 2
-    phi_i(S) = v(S) / (1 + sum_{j in S, j != i} phi_j(S\\{i}) / phi_i(S\\{j})).
+    Needs v(A) > 0 on every nonempty coalition. Ratio potential (Ortmann
+    2000), one cardinality layer at a time: P(empty) = 1,
+    P(S) = v(S) / sum_{i in S} 1 / P(S\\{i}), and x_i = P(D) / P(D\\{i}).
     """
     d, v = g.d, g.values
-    for mask in range(1, 1 << d):
-        if v[mask] <= 0:
-            raise GameError(
-                f"proportional value needs strictly positive worth; "
-                f"v({coalition_label(mask)}) = {v[mask]}"
-            )
+    bad = np.flatnonzero(v[1:] <= 0)
+    if bad.size:
+        mask = int(bad[0]) + 1
+        raise GameError(
+            f"proportional value needs strictly positive worth; "
+            f"v({coalition_label(mask)}) = {v[mask]}"
+        )
     sizes = popcount_table(d)
-    table = np.zeros((1 << d, d))
-    for j in range(d):
-        table[1 << j, j] = v[1 << j]
-    for mask in sorted(range(1, 1 << d), key=lambda m: int(sizes[m])):
-        if sizes[mask] < 2:
-            continue
+    potential = np.ones(1 << d)
+    for k in range(1, d + 1):
+        layer = np.flatnonzero(sizes == k)
+        inverse_sum = np.zeros(layer.size)
         for i in range(d):
-            if not (mask >> i) & 1:
-                continue
-            acc = 1.0
-            for j in range(d):
-                if j != i and (mask >> j) & 1:
-                    denom = table[mask ^ (1 << j), i]
-                    assert denom > 0.0
-                    acc += table[mask ^ (1 << i), j] / denom
-            table[mask, i] = v[mask] / acc
-    return Allocation(table[(1 << d) - 1], "proportional")
+            has_i = (layer & (1 << i)) != 0
+            inverse_sum[has_i] += 1.0 / potential[layer[has_i] ^ (1 << i)]
+        potential[layer] = v[layer] / inverse_sum
+    full = (1 << d) - 1
+    return Allocation(potential[full] / potential[full ^ (1 << np.arange(d))], "proportional")
 
 
 # Epsilon ladder for proportional values on duals with zero coalitions:
@@ -260,13 +272,13 @@ PME_CONVERGENCE = 1e-6
 def pme(g: Game) -> Allocation:
     """Proportional marginal effects: proportional value of the dual game."""
     w = dual_game(g)
-    neg = [m for m in range(1, 1 << g.d) if w.values[m] < 0]
-    if neg:
+    neg = np.flatnonzero(w.values[1:] < 0)
+    if neg.size:
         raise GameError(
-            f"dual worth is negative on {coalition_label(neg[0])}; "
+            f"dual worth is negative on {coalition_label(int(neg[0]) + 1)}; "
             "proportional marginal effects are undefined"
         )
-    if all(w.values[m] > 0 for m in range(1, 1 << g.d)):
+    if np.all(w.values[1:] > 0):
         return Allocation(proportional_value(w).payoffs, "pme")
     prev = None
     for eps in PME_EPS_LADDER:

@@ -20,6 +20,7 @@ from . import __version__
 from .allocations import (
     WeightSystem,
     harsanyi_allocate,
+    marginal_vector,
     pme,
     proportional_value,
     shapley_direct,
@@ -28,9 +29,9 @@ from .allocations import (
     weber_allocate,
     weber_monte_carlo,
 )
-from .dividends import dividends_fast, dividends_recursive, zeta_reconstruct
+from .dividends import dividends_fast, zeta_reconstruct
 from .expr import ExprError
-from .games import Allocation, Game, GameError, dual_game, efficiency_gap
+from .games import EXACT_TOL, Allocation, Game, GameError, dual_game, efficiency_gap, magnitude
 from .gaussian import GaussianSpec
 from .orderings import Explicit, Uniform, causal_orderings_from_json
 from .value_functions import (
@@ -48,8 +49,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-EXACT_METHODS = {"shapley", "shapley-perm", "shapley-div", "weber", "harsanyi", "pv", "pme"}
 
 
 class CliError(Exception):
@@ -152,18 +151,13 @@ def _build_game(args) -> tuple[Game, dict]:
                 raise CliError("cond-mc needs --x", EXIT_CONFIG)
             _require_seed(args)
             return conditional_mc_game(model, spec, x, args.n, args.seed), echo
-        if vf == "sobol":
+        if vf in ("sobol", "sobol-total"):
             mc = None
             if model.monos is None or model.degree > 2:
                 _require_seed(args)
                 mc = (args.n, args.seed)
-            return sobol_closed_game(model, spec, normalize=not args.unnormalized, mc=mc), echo
-        if vf == "sobol-total":
-            mc = None
-            if model.monos is None or model.degree > 2:
-                _require_seed(args)
-                mc = (args.n, args.seed)
-            return sobol_total_game(model, spec, normalize=not args.unnormalized, mc=mc), echo
+            sobol = sobol_closed_game if vf == "sobol" else sobol_total_game
+            return sobol(model, spec, normalize=not args.unnormalized, mc=mc), echo
     except GameError as e:
         raise CliError(str(e), EXIT_NUMERICAL) from e
     raise CliError(f"unknown value function {vf!r}", EXIT_CONFIG)
@@ -172,6 +166,15 @@ def _build_game(args) -> tuple[Game, dict]:
 def _require_seed(args):
     if args.seed is None:
         raise CliError("Monte Carlo paths require --seed", EXIT_CONFIG)
+
+
+def _order_distribution(d: int, args):
+    """Random-order distribution from --pmf, else --dag, else uniform."""
+    if args.pmf:
+        return Explicit.from_json(_read_file(args.pmf))
+    if args.dag:
+        return causal_orderings_from_json(d, _read_file(args.dag))
+    return Uniform()
 
 
 def _allocate(g: Game, args) -> Allocation:
@@ -184,20 +187,11 @@ def _allocate(g: Game, args) -> Allocation:
         if method == "shapley-div":
             return shapley_dividends(g)
         if method == "weber":
-            p = Uniform()
-            if args.pmf:
-                p = Explicit.from_json(_read_file(args.pmf))
-            elif args.dag:
-                p = causal_orderings_from_json(g.d, _read_file(args.dag))
-            return weber_allocate(g, p)
+            return weber_allocate(g, _order_distribution(g.d, args))
         if method == "weber-mc":
             _require_seed(args)
-            p = Uniform()
-            if args.pmf:
-                p = Explicit.from_json(_read_file(args.pmf))
-            elif args.dag:
-                p = causal_orderings_from_json(g.d, _read_file(args.dag))
-            return weber_monte_carlo(g, p, args.n, args.seed, threads=_threads())
+            return weber_monte_carlo(g, _order_distribution(g.d, args), args.n, args.seed,
+                                     threads=_threads())
         if method == "harsanyi":
             w = WeightSystem()
             if args.weights:
@@ -239,10 +233,12 @@ def cmd_attribute(args) -> int:
     # pme dualizes internally; --on-dual dualizes any other method explicitly
     target = dual_game(g) if (args.on_dual and args.method != "pme") else g
     alloc = _allocate(target, args)
-    gap = efficiency_gap(dual_game(target) if args.method == "pme" else target, alloc)
+    allocated = dual_game(target) if args.method == "pme" else target
+    gap = efficiency_gap(allocated, alloc)
+    tol = EXACT_TOL * magnitude(allocated)
     if args.method in ("shapley", "shapley-perm", "shapley-div", "weber", "harsanyi", "pv") \
-            and abs(gap) > 1e-10:
-        raise CliError(f"efficiency gap {gap} exceeds 1e-10 for exact method", EXIT_NUMERICAL)
+            and abs(gap) > tol:
+        raise CliError(f"efficiency gap {gap} exceeds {tol:.3g} for exact method", EXIT_NUMERICAL)
     report = {
         "method": alloc.method,
         "players": list(range(1, target.d + 1)),
@@ -283,9 +279,11 @@ def verify_game(g: Game, seed: int = 0, _corrupt_dividends: bool = False) -> lis
         routes.append(shapley_permutation(g))
         routes.append(weber_allocate(g, Uniform()))
     base = routes[0].payoffs
+    scale = magnitude(g)
+    tol = EXACT_TOL * scale
     checks.append((
         "cross-route shapley equality",
-        all(np.max(np.abs(r.payoffs - base)) <= 1e-10 for r in routes[1:]),
+        all(np.max(np.abs(r.payoffs - base)) <= tol for r in routes[1:]),
     ))
 
     t = dividends_fast(g)
@@ -293,7 +291,6 @@ def verify_game(g: Game, seed: int = 0, _corrupt_dividends: bool = False) -> lis
     if _corrupt_dividends:
         div[-1] += 1.0  # fault-injection hook for the exit-code contract
     back = zeta_reconstruct(type(t)(t.d, div))
-    scale = max(1.0, float(np.max(np.abs(g.values))))
     checks.append((
         "moebius round-trip",
         float(np.max(np.abs(back.values - g.values))) / scale <= 1e-12,
@@ -301,12 +298,11 @@ def verify_game(g: Game, seed: int = 0, _corrupt_dividends: bool = False) -> lis
     checks.append(("dividend total equals grand worth",
                    abs(float(np.sum(t.dividends)) - g.v_full) / scale <= 1e-12))
 
-    from .allocations import marginal_vector  # local, avoids cycle at import
-
     ok = True
     for _ in range(5):
         order = tuple(int(j) for j in rng.permutation(g.d))
-        ok = ok and abs(float(np.sum(marginal_vector(g, order))) - (g.v_full - g.v_empty)) <= 1e-12
+        ok = ok and abs(float(np.sum(marginal_vector(g, order))) - (g.v_full - g.v_empty)) \
+            <= 1e-12 * scale
     checks.append(("telescoping along random orderings", ok))
 
     for label, alloc in [
@@ -314,7 +310,7 @@ def verify_game(g: Game, seed: int = 0, _corrupt_dividends: bool = False) -> lis
         ("min-owner dividends", harsanyi_allocate(g, WeightSystem("min-owner"))),
         ("uniform random orders", shapley_direct(g)),
     ]:
-        checks.append((f"efficiency: {label}", abs(efficiency_gap(g, alloc)) <= 1e-10))
+        checks.append((f"efficiency: {label}", abs(efficiency_gap(g, alloc)) <= tol))
     return checks
 
 

@@ -56,23 +56,22 @@ def dividends_recursive(g: Game) -> DividendTable:
     return DividendTable(g.d, phi)
 
 
+def _subset_sums(values: np.ndarray, d: int, op) -> np.ndarray:
+    """For each bit j, combine every coalition with j and its partner without j
+    by `op` (np.add: zeta, np.subtract: Moebius); Theta(d 2^d). In the view of
+    shape (-1, 2, 2^j), middle index 1 holds the coalitions containing j."""
+    out = values.copy()
+    for j in range(d):
+        blocks = out.reshape(-1, 2, 1 << j)
+        op(blocks[:, 1], blocks[:, 0], out=blocks[:, 1])
+    return out
+
+
 def dividends_fast(g: Game) -> DividendTable:
-    """In-place subset Moebius transform, Theta(d 2^d)."""
-    phi = g.values.copy()
-    masks = np.arange(1 << g.d)
-    for j in range(g.d):
-        bit = 1 << j
-        hi = masks[(masks & bit) != 0]
-        phi[hi] -= phi[hi ^ bit]
-    return DividendTable(g.d, phi)
+    """Fast subset Moebius transform, Theta(d 2^d)."""
+    return DividendTable(g.d, _subset_sums(g.values, g.d, np.subtract))
 
 
 def zeta_reconstruct(t: DividendTable) -> Game:
     """Inverse transform: v(A) = sum of dividends over subsets of A."""
-    v = t.dividends.copy()
-    masks = np.arange(1 << t.d)
-    for j in range(t.d):
-        bit = 1 << j
-        hi = masks[(masks & bit) != 0]
-        v[hi] += v[hi ^ bit]
-    return Game(t.d, v)
+    return Game(t.d, _subset_sums(t.dividends, t.d, np.add))

@@ -7,7 +7,7 @@ player j belongs to the coalition. Human-facing layers (CLI, reports) use
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -155,6 +155,11 @@ def dual_game(g: Game) -> Game:
     """w(A) = v(D) - v(D \\ A)."""
     # full_mask ^ m runs through masks in reverse index order
     return Game(g.d, g.values[-1] - g.values[::-1])
+
+
+def magnitude(g: Game) -> float:
+    """max(1, max |v|): exact-method tolerances such as EXACT_TOL are relative to it."""
+    return max(1.0, float(g.values.max()), -float(g.values.min()))
 
 
 def efficiency_gap(g: Game, a: Allocation) -> float:

@@ -84,19 +84,13 @@ def gaussian_conditional(
     Returns the spec of the remaining coordinates (ascending index order):
     mean mu_C + S_CA S_AA^{-1} (x_A - mu_A), covariance the Schur complement.
     """
-    known = list(members(mask))
+    known, rest, W, _, S = _condition_blocks(spec, mask, allow_singular)
     if len(x_known) != len(known):
         raise GameError(f"expected {len(known)} conditioning values, got {len(x_known)}")
-    rest = [j for j in range(spec.d) if not (mask >> j) & 1]
     if not known:
         return spec
-    Saa = spec.cov[np.ix_(known, known)]
-    Sca = spec.cov[np.ix_(rest, known)]
-    Scc = spec.cov[np.ix_(rest, rest)]
-    W = _solve_or_pinv(Saa, Sca.T, allow_singular).T  # S_CA S_AA^{-1}
     mu = spec.mean[rest] + W @ (np.asarray(x_known, float) - spec.mean[known])
-    S = Scc - W @ Sca.T
-    return GaussianSpec(mu, (S + S.T) / 2)
+    return GaussianSpec(mu, S)
 
 
 @dataclass(frozen=True)
@@ -147,22 +141,23 @@ class QuadForm:
         return float(g @ S @ g + 2 * np.trace(MS @ MS))
 
 
-def _condition_blocks(spec: GaussianSpec, known: list[int], rest: list[int]):
-    """Affine conditional mean map mu_C(x) = m0 + W x and Schur covariance."""
+def _condition_blocks(spec: GaussianSpec, mask: int, allow_pinv: bool):
+    """Split on `mask` into (known, rest) indices; return them with the
+    affine conditional mean map mu_C(x) = m0 + W x and the Schur covariance."""
+    known = list(members(mask))
+    rest = [j for j in range(spec.d) if not (mask >> j) & 1]
     Saa = spec.cov[np.ix_(known, known)]
     Sca = spec.cov[np.ix_(rest, known)]
     Scc = spec.cov[np.ix_(rest, rest)]
-    W = _solve_or_pinv(Saa, Sca.T, allow_pinv=True).T if known else np.zeros((len(rest), 0))
+    W = _solve_or_pinv(Saa, Sca.T, allow_pinv).T if known else np.zeros((len(rest), 0))
     m0 = spec.mean[rest] - W @ spec.mean[known]
     Sc = Scc - W @ Sca.T
-    return W, m0, (Sc + Sc.T) / 2
+    return known, rest, W, m0, (Sc + Sc.T) / 2
 
 
 def conditional_mean_quad(q: QuadForm, spec: GaussianSpec, mask: int) -> QuadForm:
     """E[q(X) | X_A = x] as a quadratic form in x (coordinates of A, ascending)."""
-    known = list(members(mask))
-    rest = [j for j in range(spec.d) if not (mask >> j) & 1]
-    W, m0, Sc = _condition_blocks(spec, known, rest)
+    known, rest, W, m0, Sc = _condition_blocks(spec, mask, allow_pinv=True)
     bB, bC = q.b[known], q.b[rest]
     MBB = q.M[np.ix_(known, known)]
     MBC = q.M[np.ix_(known, rest)]
@@ -175,9 +170,7 @@ def conditional_mean_quad(q: QuadForm, spec: GaussianSpec, mask: int) -> QuadFor
 
 def conditional_var_quad(q: QuadForm, spec: GaussianSpec, mask: int) -> QuadForm:
     """Var[q(X) | X_B = x] as a quadratic form in x (coordinates of B, ascending)."""
-    known = list(members(mask))
-    rest = [j for j in range(spec.d) if not (mask >> j) & 1]
-    W, m0, Sc = _condition_blocks(spec, known, rest)
+    known, rest, W, m0, Sc = _condition_blocks(spec, mask, allow_pinv=True)
     bC = q.b[rest]
     MCB = q.M[np.ix_(rest, known)]
     MCC = q.M[np.ix_(rest, rest)]

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as _expr
-from .games import Game, GameError, build_game, dual_game, members
+from .games import Game, GameError, build_game, members
 from .gaussian import (
     GaussianSpec,
     QuadForm,
@@ -123,10 +123,6 @@ def conditional_mc_game(
     return build_game(f.d, worth)
 
 
-def _total_variance(f: Model, spec: GaussianSpec) -> float:
-    return f.quad_form().var_under(spec)
-
-
 def sobol_closed_game(
     f: Model,
     spec: GaussianSpec,
@@ -138,27 +134,7 @@ def sobol_closed_game(
     Closed form when f is a certified quadratic; otherwise a seeded
     double-loop Monte Carlo (pass mc=(n, seed)).
     """
-    if spec.d != f.d:
-        raise GameError("model and Gaussian spec disagree on feature count")
-    if mc is None:
-        q = f.quad_form()
-
-        def worth(mask: int) -> float:
-            idx = list(members(mask))
-            cm = conditional_mean_quad(q, spec, mask)
-            return cm.var_under(subvector(spec, idx)) if idx else 0.0
-
-        g = build_game(f.d, worth)
-        total = q.var_under(spec)
-    else:
-        n, seed = mc
-        g = _sobol_mc(f, spec, n, seed, total_index=False)
-        total = g.values[-1]
-    if not normalize:
-        return g
-    if total <= 0:
-        raise GameError("total model variance is zero; cannot normalize")
-    return Game(f.d, g.values / total)
+    return _sobol_game(f, spec, normalize, mc, total_index=False)
 
 
 def sobol_total_game(
@@ -172,6 +148,11 @@ def sobol_total_game(
     Computed directly from conditional-variance moments (not as a dual),
     so the law-of-total-variance duality stays checkable.
     """
+    return _sobol_game(f, spec, normalize, mc, total_index=True)
+
+
+def _sobol_game(f: Model, spec: GaussianSpec, normalize: bool,
+                mc: Optional[tuple[int, int]], total_index: bool) -> Game:
     if spec.d != f.d:
         raise GameError("model and Gaussian spec disagree on feature count")
     if mc is None:
@@ -179,16 +160,19 @@ def sobol_total_game(
         full = (1 << f.d) - 1
 
         def worth(mask: int) -> float:
-            rest_mask = full ^ mask
-            idx = list(members(rest_mask))
-            cv = conditional_var_quad(q, spec, rest_mask)
-            return cv.mean_under(subvector(spec, idx)) if idx else cv.c
+            cond_mask = (full ^ mask) if total_index else mask
+            idx = list(members(cond_mask))
+            if total_index:
+                cv = conditional_var_quad(q, spec, cond_mask)
+                return cv.mean_under(subvector(spec, idx)) if idx else cv.c
+            cm = conditional_mean_quad(q, spec, cond_mask)
+            return cm.var_under(subvector(spec, idx)) if idx else 0.0
 
         g = build_game(f.d, worth)
         total = q.var_under(spec)
     else:
         n, seed = mc
-        g = _sobol_mc(f, spec, n, seed, total_index=True)
+        g = _sobol_mc(f, spec, n, seed, total_index)
         total = g.values[-1]
     if not normalize:
         return g

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from coalition_attr import Game
 from coalition_attr.cli import main
 from conftest import g3_fixture, unanimity_game
 
@@ -191,3 +192,38 @@ def test_paper_bench(capsys):
     code, out = run(capsys, "paper-bench")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_exact_gate_scales_with_the_game(tmp_path, capsys):
+    # worths near 1e8: rounding alone leaves gaps far above an absolute 1e-10
+    rng = np.random.default_rng(12)
+    p = tmp_path / "big.json"
+    p.write_text(Game(12, 1e8 * rng.uniform(0.5, 1.5, 1 << 12)).to_json())
+    for method in ("shapley", "shapley-div", "harsanyi"):
+        code, out = run(capsys, "attribute", "--game", str(p), "--method", method)
+        assert code == 0, method
+    code, out = run(capsys, "verify", "--game", str(p))
+    assert code == 0 and "FAIL" not in out
+
+
+def test_exact_gate_still_rejects_unit_scale_gap(tmp_path, capsys):
+    # weights on {1,2} sum to 1 + 5e-10 (inside the weight tolerance) and the
+    # dividend of {1,2} is 2, so the payoffs overshoot v(D) by 1e-9
+    g = tmp_path / "g.json"
+    g.write_text('{"d":2,"values":[0,1,2,5]}')
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({"preset": "egalitarian",
+                             "entries": [{"player": 1, "coalition": 3, "w": 0.5 + 5e-10}]}))
+    assert main(["attribute", "--game", str(g), "--method", "harsanyi", "--weights", str(w)]) == 4
+    assert "efficiency gap" in capsys.readouterr().err
+
+
+def test_out_of_range_weight_entries_exit_4(g2_file, tmp_path, capsys):
+    for player, coalition, weight in ((1, -1, 0.3), (0, 1, 0.3), (3, 4, 0.3), (3, 1, 0.0),
+                                      (1, 5, 0.3)):
+        w = tmp_path / "w.json"
+        w.write_text(json.dumps(
+            {"entries": [{"player": player, "coalition": coalition, "w": weight}]}))
+        assert main(["attribute", "--game", g2_file, "--method", "harsanyi",
+                     "--weights", str(w)]) == 4, (player, coalition)
+        assert "out of range" in capsys.readouterr().err

@@ -1,0 +1,126 @@
+"""Property tests for the array allocation core, at magnitudes 1e-8 to 1e9.
+
+Each exact allocation is compared with an independent route: brute-force
+dividend sharing through `WeightSystem.weight` and `dividends_recursive`, or
+the subset recursion of the proportional value. Tolerances are relative to
+the largest worth of the game.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from coalition_attr import (
+    Game,
+    WeightSystem,
+    dividends_fast,
+    dividends_recursive,
+    harsanyi_allocate,
+    proportional_value,
+    zeta_reconstruct,
+)
+
+REL = 1e-10
+PRESETS = st.sampled_from(WeightSystem.PRESETS)
+core = settings(deadline=None, max_examples=60)
+
+
+@st.composite
+def games(draw, max_d=6, positive=False):
+    d = draw(st.integers(1, max_d))
+    scale = 10.0 ** draw(st.integers(-8, 9))
+    lo = 0.01 if positive else -1.0
+    vals = draw(hnp.arrays(np.float64, 1 << d, elements=st.floats(lo, 1.0)))
+    return Game(d, scale * vals)
+
+
+def _members(mask: int, d: int) -> list[int]:
+    return [j for j in range(d) if (mask >> j) & 1]
+
+
+def weight_system(preset: str, d: int, seed: int) -> WeightSystem:
+    """`preset` with random sharing weights stored on random coalitions
+    (on every nonempty coalition for "custom")."""
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for mask in range(1, 1 << d):
+        if preset == "custom" or rng.random() < 0.3:
+            ms = _members(mask, d)
+            for j, w in zip(ms, rng.dirichlet(np.ones(len(ms)))):
+                entries[(j, mask)] = float(w)
+    return WeightSystem(preset, entries)
+
+
+def _tol(*gs: Game) -> float:
+    return REL * sum(float(np.max(np.abs(g.values))) for g in gs)
+
+
+@core
+@given(games(), PRESETS, st.integers(0, 2**32 - 1))
+def test_harsanyi_equals_brute_force_dividend_sharing(g, preset, seed):
+    w = weight_system(preset, g.d, seed)
+    phi = dividends_recursive(g).dividends
+    want = [sum(w.weight(j, m) * phi[m] for m in range(1, 1 << g.d)) for j in range(g.d)]
+    got = harsanyi_allocate(g, w).payoffs
+    assert np.max(np.abs(got - want)) <= _tol(g)
+
+
+@core
+@given(games(), games(), st.floats(-3.0, 3.0), PRESETS, st.integers(0, 2**32 - 1))
+def test_harsanyi_is_linear(g, h, a, preset, seed):
+    h = Game(g.d, np.resize(h.values, 1 << g.d))  # the second game over g's players
+    w = weight_system(preset, g.d, seed)
+    got = harsanyi_allocate(Game(g.d, a * g.values + h.values), w).payoffs
+    want = a * harsanyi_allocate(g, w).payoffs + harsanyi_allocate(h, w).payoffs
+    assert np.max(np.abs(got - want)) <= _tol(g) * max(1.0, abs(a)) + _tol(h)
+
+
+@core
+@given(games(max_d=5), st.integers(0, 5), PRESETS, st.integers(0, 2**32 - 1))
+def test_dummy_player_gets_zero_under_every_preset(g, i, preset, seed):
+    d = g.d + 1
+    i = i % d
+    # v(S) = u(S without i): player i adds nothing to any coalition
+    low = (1 << i) - 1
+    vals = np.array([g.values[(m & low) | ((m >> 1) & ~low)] for m in range(1 << d)])
+    a = harsanyi_allocate(Game(d, vals), weight_system(preset, d, seed))
+    assert a.payoffs[i] == 0.0
+
+
+def _pv_recursion(g: Game) -> np.ndarray:
+    """Reference: phi_i({i}) = v({i}) and, for |S| >= 2,
+    phi_i(S) = v(S) / (1 + sum_{j in S, j != i} phi_j(S\\{i}) / phi_i(S\\{j}))."""
+    table = {}
+    for mask in sorted(range(1, 1 << g.d), key=lambda m: bin(m).count("1")):
+        ms = _members(mask, g.d)
+        for i in ms:
+            acc = 1.0 + sum(table[mask ^ (1 << i), j] / table[mask ^ (1 << j), i]
+                            for j in ms if j != i)
+            table[mask, i] = g.values[mask] / acc
+    return np.array([table[(1 << g.d) - 1, i] for i in range(g.d)])
+
+
+@core
+@given(games(max_d=5, positive=True))
+def test_proportional_value_matches_subset_recursion(g):
+    got = proportional_value(g).payoffs
+    assert np.max(np.abs(got - _pv_recursion(g))) <= _tol(g)
+
+
+@core
+@given(games(positive=True), st.integers(-8, 9))
+def test_proportional_value_is_homogeneous(g, k):
+    c = 10.0**k
+    got = proportional_value(Game(g.d, c * g.values)).payoffs
+    assert np.max(np.abs(got - c * proportional_value(g).payoffs)) <= c * _tol(g)
+
+
+@core
+@given(st.integers(1, 6).flatmap(
+    lambda d: hnp.arrays(np.float64, 1 << d, elements=st.integers(-(2**40), 2**40))))
+def test_moebius_zeta_round_trip_is_exact_on_integer_worths(vals):
+    # every intermediate is an integer below 2^53, so no rounding occurs
+    g = Game(int(np.log2(vals.size)), vals)
+    t = dividends_fast(g)
+    assert np.array_equal(t.dividends, dividends_recursive(g).dividends)
+    assert np.array_equal(zeta_reconstruct(t).values, g.values)
