@@ -203,21 +203,21 @@ def weber_monte_carlo(
 
     Orderings are drawn in fixed chunks of MC_CHUNK, each chunk from its own
     seed-derived stream, and chunk results are reduced in index order, so
-    the output is bit-identical for any thread count.
+    the output is bit-identical for any thread count. Each chunk keeps its
+    sum of squares about its own mean, and the chunks are merged by the
+    two-level form of Chan, Golub & LeVeque (1979), so the standard error
+    does not cancel away on games with large worths.
     """
     if n < 2:
         raise GameError("Monte Carlo needs n >= 2")
     nchunks = (n + MC_CHUNK - 1) // MC_CHUNK
 
-    def run_chunk(k: int) -> tuple[np.ndarray, np.ndarray]:
+    def run_chunk(k: int) -> tuple[int, np.ndarray, np.ndarray]:
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
         m = min(MC_CHUNK, n - k * MC_CHUNK)
-        if isinstance(p, Uniform):
-            orders = rng.permuted(np.tile(np.arange(g.d), (m, 1)), axis=1)
-        else:
-            orders = np.array([p.sample(g.d, rng) for _ in range(m)], dtype=np.int64)
-        mv = _batch_marginals(g, orders)
-        return mv.sum(axis=0), (mv * mv).sum(axis=0)
+        mv = _batch_marginals(g, p.sample(g.d, rng, m))
+        s = mv.sum(axis=0)
+        return m, s, ((mv - s / m) ** 2).sum(axis=0)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -225,13 +225,13 @@ def weber_monte_carlo(
     else:
         parts = [run_chunk(k) for k in range(nchunks)]
     total = np.zeros(g.d)
-    total2 = np.zeros(g.d)
-    for s, s2 in parts:
+    for _, s, _ in parts:
         total += s
-        total2 += s2
     mean = total / n
-    var = np.maximum(total2 - n * mean * mean, 0.0) / (n - 1)
-    return Allocation(mean, "weber-mc", stderr=np.sqrt(var / n))
+    m2 = np.zeros(g.d)
+    for m, s, m2_chunk in parts:
+        m2 += m2_chunk + m * (s / m - mean) ** 2
+    return Allocation(mean, "weber-mc", stderr=np.sqrt(m2 / (n - 1) / n))
 
 
 def proportional_value(g: Game) -> Allocation:

@@ -58,26 +58,39 @@ class CliError(Exception):
 
 
 def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("COALITION_ATTR_THREADS", "1")))
-    except ValueError:
-        return 1
+    raw = os.environ.get("COALITION_ATTR_THREADS", "1")
+    if not raw.isdecimal() or int(raw) < 1:
+        raise CliError(f"COALITION_ATTR_THREADS must be a positive integer, got {raw!r}",
+                       EXIT_CONFIG)
+    return int(raw)
 
 
 def _read_file(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read {path}: {e}", EXIT_DATA) from e
+
+
+def _load_json(path: str, parse, what: str):
+    """Parse a JSON input file; a structurally invalid one is a data error.
+
+    GameError (a ValueError) passes through, so each caller keeps its own exit
+    code for a well-formed input that fails validation.
+    """
+    try:
+        return parse(_read_file(path))
+    except GameError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        raise CliError(f"bad {what} {path}: {e}", EXIT_DATA) from e
 
 
 def _load_game(path: str) -> Game:
     try:
-        return Game.from_json(_read_file(path))
-    except (json.JSONDecodeError, GameError, KeyError, TypeError, ValueError) as e:
-        if isinstance(e, CliError):
-            raise
+        return _load_json(path, Game.from_json, "game file")
+    except GameError as e:
         raise CliError(f"bad game file {path}: {e}", EXIT_DATA) from e
 
 
@@ -121,10 +134,8 @@ def _build_game(args) -> tuple[Game, dict]:
     spec = None
     if args.gaussian:
         try:
-            spec = GaussianSpec.from_json(_read_file(args.gaussian))
-        except (json.JSONDecodeError, GameError, KeyError, ValueError) as e:
-            if isinstance(e, CliError):
-                raise
+            spec = _load_json(args.gaussian, GaussianSpec.from_json, "Gaussian spec")
+        except GameError as e:
             raise CliError(f"bad Gaussian spec {args.gaussian}: {e}", EXIT_DATA) from e
     x = _parse_vector(args.x) if args.x else None
     d = args.d or (spec.d if spec is not None else len(x))
@@ -171,9 +182,9 @@ def _require_seed(args):
 def _order_distribution(d: int, args):
     """Random-order distribution from --pmf, else --dag, else uniform."""
     if args.pmf:
-        return Explicit.from_json(_read_file(args.pmf))
+        return _load_json(args.pmf, Explicit.from_json, "pmf")
     if args.dag:
-        return causal_orderings_from_json(d, _read_file(args.dag))
+        return _load_json(args.dag, lambda text: causal_orderings_from_json(d, text), "DAG")
     return Uniform()
 
 
@@ -195,14 +206,12 @@ def _allocate(g: Game, args) -> Allocation:
         if method == "harsanyi":
             w = WeightSystem()
             if args.weights:
-                w = WeightSystem.from_json(_read_file(args.weights))
+                w = _load_json(args.weights, WeightSystem.from_json, "weight system")
             return harsanyi_allocate(g, w)
         if method == "pv":
             return proportional_value(g)
         if method == "pme":
             return pme(g)
-    except json.JSONDecodeError as e:
-        raise CliError(f"bad JSON input: {e}", EXIT_DATA) from e
     except GameError as e:
         raise CliError(str(e), EXIT_NUMERICAL) from e
     raise CliError(f"unknown method {args.method!r}", EXIT_CONFIG)

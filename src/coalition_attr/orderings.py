@@ -2,8 +2,9 @@
 
 Four forms: uniform over all d! orderings, an explicit pmf, uniform over
 the linear extensions of a partial order (causal constraints), and an
-opaque seeded sampler. Exact expansion and seeded sampling are provided
-where each form supports them.
+opaque seeded sampler. Exact expansion is provided where a form supports
+it. Every form samples the same way: `sample(d, rng, m)` draws a whole
+(m, d) array of orders from one seeded stream.
 """
 from __future__ import annotations
 
@@ -11,16 +12,19 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .games import GameError
+from .games import DEFAULT_MAX_PLAYERS, GameError, popcount_table
 
 PMF_TOL = 1e-9
 
 # Exact expansion refuses beyond this many orderings (10!).
 MAX_ENUMERATION = math.factorial(10)
+
+# Masks per step of the count-table build: bounds its (masks x d) temporaries.
+TABLE_BLOCK = 1024
 
 
 class SupportTooLargeError(GameError):
@@ -42,8 +46,8 @@ class Uniform:
         p = 1.0 / math.factorial(d)
         return [(pi, p) for pi in itertools.permutations(range(d))]
 
-    def sample(self, d: int, rng: np.random.Generator) -> tuple[int, ...]:
-        return tuple(int(j) for j in rng.permutation(d))
+    def sample(self, d: int, rng: np.random.Generator, m: int) -> np.ndarray:
+        return rng.permuted(np.tile(np.arange(d), (m, 1)), axis=1)
 
 
 @dataclass(frozen=True)
@@ -86,14 +90,17 @@ class Explicit:
         probs = tuple(float(row["p"]) for row in rows)
         return cls(orders, probs)
 
-    def expand(self, d: int) -> list[tuple[tuple[int, ...], float]]:
-        if self.orders and len(self.orders[0]) != d:
+    def _orders_for(self, d: int) -> tuple[tuple[int, ...], ...]:
+        if len(self.orders[0]) != d:
             raise GameError("pmf ordering length does not match player count")
-        return list(zip(self.orders, self.probs))
+        return self.orders
 
-    def sample(self, d: int, rng: np.random.Generator) -> tuple[int, ...]:
-        i = int(rng.choice(len(self.orders), p=np.asarray(self.probs)))
-        return self.orders[i]
+    def expand(self, d: int) -> list[tuple[tuple[int, ...], float]]:
+        return list(zip(self._orders_for(d), self.probs))
+
+    def sample(self, d: int, rng: np.random.Generator, m: int) -> np.ndarray:
+        orders = np.array(self._orders_for(d), dtype=np.int64)
+        return orders[rng.choice(len(orders), size=m, p=np.asarray(self.probs))]
 
 
 @dataclass(frozen=True)
@@ -101,66 +108,55 @@ class PartialOrderUniform:
     """Uniform distribution over linear extensions of a DAG on players.
 
     pred_masks[j] is the bitmask of players that must precede player j.
+    counts[S] is the number of ways to complete the placed set S, for every
+    mask S below 2^d; a down-set's completions are its linear extensions.
     """
 
     d: int
     pred_masks: tuple[int, ...]
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.pred_masks) != self.d:
             raise GameError("need one predecessor mask per player")
-        self._toposort_or_raise()
+        if self.d > DEFAULT_MAX_PLAYERS:
+            # 2^d table entries; int64 counts stay exact up to 20!
+            raise GameError(f"partial orders support at most {DEFAULT_MAX_PLAYERS} players")
+        sizes = popcount_table(self.d)
+        bits = 1 << np.arange(self.d, dtype=np.int64)
+        counts = np.zeros(1 << self.d, dtype=np.int64)
+        counts[-1] = 1
+        for k in range(self.d - 1, -1, -1):
+            layer = np.flatnonzero(sizes == k)
+            for start in range(0, layer.size, TABLE_BLOCK):
+                masks = layer[start:start + TABLE_BLOCK]
+                above = np.where(self._ready(masks), counts[masks[:, None] | bits], 0)
+                counts[masks] = above.sum(axis=1)
+        if counts[0] == 0:
+            raise GameError("cycle detected among the precedence constraints")
+        object.__setattr__(self, "counts", counts)
 
-    def _toposort_or_raise(self):
-        # Kahn's algorithm; leftover nodes mean a cycle
-        placed = 0
-        remaining = set(range(self.d))
-        progress = True
-        while progress:
-            progress = False
-            for j in list(remaining):
-                if self.pred_masks[j] & ~placed == 0:
-                    placed |= 1 << j
-                    remaining.discard(j)
-                    progress = True
-        if remaining:
-            raise GameError(f"cycle detected among players {sorted(j + 1 for j in remaining)}")
-
-    def _ready(self, placed: int) -> list[int]:
-        return [
-            j
-            for j in range(self.d)
-            if not (placed >> j) & 1 and self.pred_masks[j] & ~placed == 0
-        ]
-
-    def extension_counts(self) -> dict[int, int]:
-        """Completions of each already-placed down-set, by mask."""
-        counts = {(1 << self.d) - 1: 1}
-
-        def count(placed: int) -> int:
-            hit = counts.get(placed)
-            if hit is None:
-                hit = sum(count(placed | (1 << j)) for j in self._ready(placed))
-                counts[placed] = hit
-            return hit
-
-        count(0)
-        return counts
+    def _ready(self, placed: np.ndarray) -> np.ndarray:
+        """(len(placed), d) bools: player j is unplaced and all its predecessors are placed."""
+        p = placed[:, None]
+        preds = np.array(self.pred_masks, dtype=np.int64)
+        return ((p >> np.arange(self.d)) & 1 == 0) & (preds & ~p == 0)
 
     def num_extensions(self) -> int:
-        return self.extension_counts()[0]
+        return int(self.counts[0])
 
     def enumerate_extensions(self) -> Iterator[tuple[int, ...]]:
-        def rec(placed: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-            if len(prefix) == self.d:
-                yield tuple(prefix)
-                return
-            for j in self._ready(placed):
-                prefix.append(j)
-                yield from rec(placed | (1 << j), prefix)
-                prefix.pop()
-
-        yield from rec(0, [])
+        """Every linear extension, in lexicographic order."""
+        # extend all prefixes of one length at a time; nonzero() walks the
+        # prefixes in order and each prefix's ready players in ascending order.
+        # int8 players keep a 10!-row enumeration small.
+        orders = np.zeros((1, 0), dtype=np.int8)
+        placed = np.zeros(1, dtype=np.int64)
+        for _ in range(self.d):
+            rows, players = np.nonzero(self._ready(placed))
+            orders = np.column_stack([orders[rows], players.astype(np.int8)])
+            placed = placed[rows] | (1 << players)
+        yield from map(tuple, orders.tolist())
 
     def expand(self, d: int) -> list[tuple[tuple[int, ...], float]]:
         if d != self.d:
@@ -174,23 +170,26 @@ class PartialOrderUniform:
         p = 1.0 / n
         return [(pi, p) for pi in self.enumerate_extensions()]
 
-    def sample(self, d: int, rng: np.random.Generator) -> tuple[int, ...]:
-        """Draw uniformly by walking the down-set lattice with exact counts."""
+    def sample(self, d: int, rng: np.random.Generator, m: int) -> np.ndarray:
+        """Draw m orders uniformly, walking the down-set lattice in lock-step.
+
+        Each step picks player j with probability counts[S | j] / counts[S],
+        as the first player whose cumulative weight exceeds a uniform draw;
+        players that are not ready weigh 0 and are never picked.
+        """
         if d != self.d:
             raise GameError("player count mismatch")
-        counts = getattr(self, "_counts", None)
-        if counts is None:
-            counts = self.extension_counts()
-            object.__setattr__(self, "_counts", counts)
-        placed = 0
-        order = []
-        for _ in range(self.d):
-            ready = self._ready(placed)
-            weights = np.array([counts[placed | (1 << j)] for j in ready], dtype=float)
-            j = ready[int(rng.choice(len(ready), p=weights / weights.sum()))]
-            order.append(j)
-            placed |= 1 << j
-        return tuple(order)
+        u = rng.random((m, d))
+        bits = 1 << np.arange(d, dtype=np.int64)
+        orders = np.empty((m, d), dtype=np.int64)
+        placed = np.zeros(m, dtype=np.int64)
+        for t in range(d):
+            weights = np.where(self._ready(placed), self.counts[placed[:, None] | bits], 0)
+            cdf = np.cumsum(weights / self.counts[placed][:, None], axis=1)
+            cdf /= cdf[:, -1:]
+            orders[:, t] = np.sum(cdf <= u[:, t, None], axis=1)
+            placed |= bits[orders[:, t]]
+        return orders
 
 
 @dataclass(frozen=True)
@@ -200,11 +199,14 @@ class SeededSampler:
     d: int
     draw: Callable[[np.random.Generator], Sequence[int]]
 
-    def sample(self, d: int, rng: np.random.Generator) -> tuple[int, ...]:
-        pi = tuple(int(j) for j in self.draw(rng))
-        if sorted(pi) != list(range(d)):
-            raise GameError(f"sampler returned invalid ordering {pi}")
-        return pi
+    def sample(self, d: int, rng: np.random.Generator, m: int) -> np.ndarray:
+        orders = np.empty((m, d), dtype=np.int64)
+        for i in range(m):
+            pi = tuple(int(j) for j in self.draw(rng))
+            if sorted(pi) != list(range(d)):
+                raise GameError(f"sampler returned invalid ordering {pi}")
+            orders[i] = pi
+        return orders
 
 
 RandomOrderDistribution = Uniform | Explicit | PartialOrderUniform | SeededSampler
@@ -214,7 +216,9 @@ def causal_orderings(d: int, edges: Sequence[tuple[int, int]]) -> PartialOrderUn
     """Distribution uniform over orderings consistent with a causal DAG.
 
     Edges are (ancestor, descendant) pairs, 0-indexed; every ancestor is
-    forced to appear before its descendants.
+    forced to appear before its descendants. Only direct predecessors are
+    stored; checking them suffices, because each of them was itself placed
+    only after its own.
     """
     preds = [0] * d
     for u, vtx in edges:
@@ -223,22 +227,6 @@ def causal_orderings(d: int, edges: Sequence[tuple[int, int]]) -> PartialOrderUn
         if u == vtx:
             raise GameError(f"self-loop on player {u + 1}")
         preds[vtx] |= 1 << u
-    # transitive closure so ready-checks see indirect ancestors too
-    changed = True
-    while changed:
-        changed = False
-        for j in range(d):
-            clos = preds[j]
-            m = preds[j]
-            while m:
-                low = m & -m
-                clos |= preds[low.bit_length() - 1]
-                m ^= low
-            if clos != preds[j]:
-                preds[j] = clos
-                changed = True
-        if any((preds[j] >> j) & 1 for j in range(d)):
-            raise GameError("cycle detected in causal DAG")
     return PartialOrderUniform(d, tuple(preds))
 
 

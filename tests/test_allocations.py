@@ -203,6 +203,34 @@ def test_weber_mc_serial_vs_parallel_bit_identical():
     assert np.array_equal(a.stderr, b.stderr)
 
 
+@pytest.mark.parametrize("dist", ["pmf", "dag"])
+def test_weber_mc_threads_bit_identical_for_non_uniform_orders(dist):
+    rng = np.random.default_rng(31)
+    g = random_game(6, rng)
+    if dist == "pmf":
+        orders = tuple({tuple(rng.permutation(6).tolist()) for _ in range(50)})
+        p = Explicit(orders, tuple(rng.dirichlet(np.ones(len(orders))).tolist()))
+    else:
+        p = causal_orderings(6, [(0, 2), (1, 2), (2, 5), (3, 4)])
+    a = weber_monte_carlo(g, p, 5000, seed=8, threads=1)
+    b = weber_monte_carlo(g, p, 5000, seed=8, threads=2)
+    assert np.array_equal(a.payoffs, b.payoffs)
+    assert np.array_equal(a.stderr, b.stderr)
+
+
+def test_weber_mc_stderr_survives_large_worths():
+    # worths near 1e9 * |S| with unit-scale spread: a raw sum of squares
+    # cancels away the whole variance here
+    rng = np.random.default_rng(41)
+    d, n = 4, 20_000
+    sizes = np.array([bin(m).count("1") for m in range(1 << d)])
+    g = Game(d, 1e9 * sizes + rng.normal(size=1 << d))
+    mv = np.array([marginal_vector(g, o) for o in itertools.permutations(range(d))])
+    exact = np.sqrt(mv.var(axis=0) / n)
+    a = weber_monte_carlo(g, Uniform(), n, seed=3)
+    assert np.allclose(a.stderr, exact, rtol=0.1)
+
+
 def test_weber_mc_rejects_tiny_n(g2):
     with pytest.raises(GameError):
         weber_monte_carlo(g2, Uniform(), 1, seed=0)

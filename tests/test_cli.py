@@ -143,6 +143,42 @@ def test_exit_3_on_data_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("option, text", [
+    ("--weights", '{"entries":[{"player":1,"coalition":1}]}'),  # no "w"
+    ("--weights", '{"entries":[{"player":"a","coalition":1,"w":1}]}'),
+    ("--weights", "[1,2]"),
+    ("--pmf", '{"x":1}'),
+    ("--dag", '{"edges":[[1]]}'),
+    ("--gaussian", "[1,2]"),
+])
+def test_exit_3_on_structurally_invalid_json(g2_file, tmp_path, capsys, option, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if option == "--gaussian":
+        argv = ["--model", "x1", "--x", "1", "--value-fn", "cond-gauss", "--method", "shapley"]
+    else:
+        method = {"--weights": "harsanyi", "--pmf": "weber", "--dag": "weber"}[option]
+        argv = ["--game", g2_file, "--method", method]
+    assert main(["attribute", *argv, option, str(bad)]) == 3
+    assert "bad " in capsys.readouterr().err
+
+
+def test_exit_3_on_undecodable_csv(tmp_path, capsys):
+    data = tmp_path / "bg.csv"
+    data.write_bytes(b"\xff\xfe1,2\n")
+    assert main(["attribute", "--model", "x1 + x2", "--value-fn", "marginal",
+                 "--data", str(data), "--x", "1,2", "--method", "shapley"]) == 3
+    assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
+def test_exit_2_on_invalid_thread_count(g2_file, monkeypatch, capsys, value):
+    monkeypatch.setenv("COALITION_ATTR_THREADS", value)
+    assert main(["attribute", "--game", g2_file, "--method", "weber-mc", "--seed", "1",
+                 "--n", "10"]) == 2
+    assert "COALITION_ATTR_THREADS" in capsys.readouterr().err
+
+
 def test_exit_4_on_numerical_failure(tmp_path, capsys):
     g = tmp_path / "neg.json"
     g.write_text('{"d":2,"values":[0,1,0,2]}')  # zero singleton worth

@@ -86,8 +86,7 @@ def test_partial_order_sampling_is_uniform():
     rng = np.random.default_rng(11)
     counts = {}
     n = 24000
-    for _ in range(n):
-        pi = p.sample(4, rng)
+    for pi in map(tuple, p.sample(4, rng, n).tolist()):
         counts[pi] = counts.get(pi, 0) + 1
     assert set(counts) == set(p.enumerate_extensions())
     # each extension should appear ~n/12; 5 sigma binomial band
@@ -109,3 +108,81 @@ def test_partial_order_validation():
         PartialOrderUniform(2, (0b10, 0b01))  # two-cycle
     with pytest.raises(GameError):
         causal_orderings(2, [(0, 5)])
+
+
+def _ready_oracle(pred_masks, placed):
+    return [j for j in range(len(pred_masks))
+            if not (placed >> j) & 1 and pred_masks[j] & ~placed == 0]
+
+
+def _dag_walk_oracle(p, rng, m):
+    """Single-draw reference sampler: m separate walks down the down-set
+    lattice, each step a choice weighted by dict-memoised completion counts."""
+    counts = {(1 << p.d) - 1: 1}
+
+    def count(placed):
+        if placed not in counts:
+            counts[placed] = sum(count(placed | (1 << j))
+                                 for j in _ready_oracle(p.pred_masks, placed))
+        return counts[placed]
+
+    count(0)
+    draws = []
+    for _ in range(m):
+        placed, order = 0, []
+        for _ in range(p.d):
+            ready = _ready_oracle(p.pred_masks, placed)
+            weights = np.array([counts[placed | (1 << j)] for j in ready], dtype=float)
+            j = ready[int(rng.choice(len(ready), p=weights / weights.sum()))]
+            order.append(j)
+            placed |= 1 << j
+        draws.append(order)
+    return np.array(draws, dtype=np.int64).reshape(m, p.d), counts[0]
+
+
+def _random_dag(rng, d):
+    perm = rng.permutation(d)
+    pairs = [(int(perm[a]), int(perm[b])) for a in range(d) for b in range(a + 1, d)]
+    keep = rng.random(len(pairs)) < rng.uniform(0.0, 0.5)
+    return [e for e, k in zip(pairs, keep) if k]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_batched_dag_sampling_matches_single_draw_walk(seed):
+    rng = np.random.default_rng(seed)
+    for d in range(1, 11):
+        p = causal_orderings(d, _random_dag(rng, d))
+        want, n_ext = _dag_walk_oracle(p, np.random.default_rng([seed, d]), 150)
+        got = p.sample(d, np.random.default_rng([seed, d]), 150)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), d
+        assert p.num_extensions() == n_ext
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_batched_pmf_sampling_matches_single_choices(seed):
+    rng = np.random.default_rng(seed)
+    orders = {tuple(rng.permutation(6).tolist()) for _ in range(40)}
+    probs = rng.dirichlet(np.ones(len(orders)))
+    p = Explicit(tuple(orders), tuple(probs.tolist()))
+    one = np.random.default_rng(seed + 100)
+    want = [p.orders[int(one.choice(len(p.orders), p=np.asarray(p.probs)))] for _ in range(500)]
+    assert np.array_equal(p.sample(6, np.random.default_rng(seed + 100), 500), want)
+
+
+def test_enumeration_is_lexicographic_over_random_dags():
+    rng = np.random.default_rng(7)
+    for d in range(1, 8):
+        edges = _random_dag(rng, d)
+        want = [pi for pi in itertools.permutations(range(d))
+                if all(pi.index(u) < pi.index(w) for u, w in edges)]
+        p = causal_orderings(d, edges)
+        assert list(p.enumerate_extensions()) == want
+        assert p.num_extensions() == len(want)
+
+
+def test_partial_order_rejects_cycles_and_too_many_players():
+    with pytest.raises(GameError, match="cycle"):
+        PartialOrderUniform(3, (0b100, 0b001, 0b010))
+    with pytest.raises(GameError, match="at most 20"):
+        PartialOrderUniform(21, (0,) * 21)
