@@ -4,6 +4,12 @@ Grammar: variables x1..xd, numeric literals, unary minus, + - * /, and
 integer powers via ^. Precedence ^ > unary minus > * / > + -, binaries
 left-associative, ^ right-associative. Exponents must be nonnegative
 integer literals. All errors carry a byte offset into the source.
+
+An expression's depth counts one level per operator, unary minus and
+parenthesis pair along its deepest path; the parser rejects anything deeper
+than MAX_DEPTH, so no function here comes near Python's recursion limit.
+`to_str` parenthesizes every operator, so it renders trees up to
+MAX_DEPTH // 2 deep in a form that parses back.
 """
 from __future__ import annotations
 
@@ -11,6 +17,10 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Optional, Union
+
+import numpy as np
+
+MAX_DEPTH = 200  # the deepest nesting parse accepts; see the module docstring
 
 
 class ExprError(ValueError):
@@ -97,6 +107,7 @@ class _Parser:
         self.toks = toks
         self.i = 0
         self.d = d
+        self.level = 0  # open expression() calls
 
     @property
     def cur(self) -> _Tok:
@@ -108,49 +119,61 @@ class _Parser:
         return t
 
     def parse(self) -> Expr:
-        e = self.expression(0)
+        e, _ = self.expression(0)
         if self.cur.kind != "end":
             raise ExprError(f"unexpected {self.cur.text!r}", self.cur.pos)
         return e
 
-    def expression(self, rbp: int) -> Expr:
-        left = self.nud(self.advance())
+    def expression(self, rbp: int) -> tuple[Expr, int]:
+        """Parse while operators bind tighter than rbp; returns the tree and
+        its depth. Every nested call adds one level to the depth returned, so
+        bounding both the calls and the depth bounds the recursion."""
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ExprError(f"expression nested deeper than {MAX_DEPTH} levels", self.cur.pos)
+        left, depth = self.nud(self.advance())
         while self.cur.kind == "op" and _BIN_LBP.get(self.cur.text, -1) > rbp:
-            left = self.led(self.advance(), left)
-        return left
+            t = self.advance()
+            left, depth = self.led(t, left, depth)
+            if depth > MAX_DEPTH:
+                raise ExprError(f"expression nested deeper than {MAX_DEPTH} levels", t.pos)
+        self.level -= 1
+        return left, depth
 
-    def nud(self, t: _Tok) -> Expr:
+    def nud(self, t: _Tok) -> tuple[Expr, int]:
         if t.kind == "num":
             val = float(t.text)
             if not math.isfinite(val):
                 raise ExprError("numeric literal overflows a double", t.pos)
-            return Lit(val)
+            return Lit(val), 1
         if t.kind == "var":
             k = int(t.text[1:])
             if not (1 <= k <= self.d):
                 raise ExprError(f"variable {t.text} out of range 1..{self.d}", t.pos)
-            return Var(k - 1)
+            return Var(k - 1), 1
         if t.kind == "op" and t.text == "-":
-            return Neg(self.expression(_UNARY_RBP))
+            arg, depth = self.expression(_UNARY_RBP)
+            return Neg(arg), depth + 1
         if t.kind == "op" and t.text == "(":
-            e = self.expression(0)
+            e, depth = self.expression(0)
             if not (self.cur.kind == "op" and self.cur.text == ")"):
                 raise ExprError("expected ')'", self.cur.pos)
             self.advance()
-            return e
+            return e, depth + 1
         if t.kind == "end":
             raise ExprError("unexpected end of input", t.pos)
         raise ExprError(f"unexpected {t.text!r}", t.pos)
 
-    def led(self, t: _Tok, left: Expr) -> Expr:
+    def led(self, t: _Tok, left: Expr, depth: int) -> tuple[Expr, int]:
         if t.text == "^":
             # right-assoc; exponent must be a nonnegative integer literal
             rhs_tok = self.cur
-            rhs = self.expression(_BIN_LBP["^"] - 1)
+            rhs, rhs_depth = self.expression(_BIN_LBP["^"] - 1)
             if not isinstance(rhs, Lit) or rhs.value != int(rhs.value) or rhs.value < 0:
                 raise ExprError("exponent must be a nonnegative integer literal", rhs_tok.pos)
-            return Pow(left, int(rhs.value))
-        return Bin(t.text, left, self.expression(_BIN_LBP[t.text]))
+            return Pow(left, int(rhs.value)), max(depth, rhs_depth) + 1
+        rhs, rhs_depth = self.expression(_BIN_LBP[t.text])
+        return Bin(t.text, left, rhs), max(depth, rhs_depth) + 1
 
 
 def parse(src: str, d: int) -> Expr:
@@ -172,37 +195,51 @@ def to_str(e: Expr) -> str:
     return f"({to_str(e.left)} {e.op} {to_str(e.right)})"
 
 
-def evaluate(e: Expr, point) -> float:
-    """Evaluate at a real point; division by zero and overflow are errors."""
+_ARITH = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
-    def rec(node: Expr) -> float:
-        if isinstance(node, Lit):
-            return node.value
-        if isinstance(node, Var):
-            return float(point[node.index])
-        if isinstance(node, Neg):
-            return -rec(node.arg)
-        if isinstance(node, Pow):
-            out = rec(node.base) ** node.exp
-            if not math.isfinite(out):
-                raise ExprError("non-finite intermediate value", 0)
-            return out
-        a, b = rec(node.left), rec(node.right)
-        if node.op == "+":
-            out = a + b
-        elif node.op == "-":
-            out = a - b
-        elif node.op == "*":
-            out = a * b
-        else:
-            if b == 0:
-                raise ExprError("division by zero", 0)
-            out = a / b
-        if not math.isfinite(out):
-            raise ExprError("non-finite intermediate value", 0)
-        return out
 
-    return rec(e)
+def evaluate(e: Expr, X):
+    """Evaluate at one point (d,), giving a float, or at every row of an
+    (..., d) array, giving an array of shape X.shape[:-1].
+
+    A division by zero anywhere, or any non-finite intermediate value,
+    overflow included, raises ExprError. Powers use the C library's pow, as
+    Python's float ** int does, so each entry equals a scalar evaluation bit
+    for bit.
+    """
+    X = np.asarray(X, dtype=float)
+    # From finite inputs, the first non-finite value sets a floating-point
+    # flag, which errstate turns into an error; other inputs are checked
+    # node by node.
+    check_each = not np.isfinite(X).all()
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            out = _evaluate(e, np.moveaxis(X, -1, 0), check_each)
+    except FloatingPointError:
+        raise ExprError("non-finite intermediate value", 0) from None
+    if X.ndim == 1:
+        return float(out)
+    return np.array(np.broadcast_to(out, X.shape[:-1]))
+
+
+def _evaluate(node: Expr, cols: np.ndarray, check_each: bool):
+    if isinstance(node, Lit):
+        return np.float64(node.value)
+    if isinstance(node, Var):
+        return cols[node.index]
+    if isinstance(node, Neg):
+        return -_evaluate(node.arg, cols, check_each)
+    if isinstance(node, Pow):
+        out = np.float_power(_evaluate(node.base, cols, check_each), node.exp)
+    else:
+        a = _evaluate(node.left, cols, check_each)
+        b = _evaluate(node.right, cols, check_each)
+        if node.op == "/" and np.any(b == 0):
+            raise ExprError("division by zero", 0)
+        out = _ARITH[node.op](a, b)
+    if check_each and not np.isfinite(out).all():
+        raise FloatingPointError
+    return out
 
 
 def monomials(e: Expr, d: int) -> Optional[dict[tuple[int, ...], float]]:

@@ -14,6 +14,7 @@ import numpy as np
 
 DEFAULT_MAX_PLAYERS = 20
 EXACT_TOL = 1e-10
+BUILD_CHUNK = 1024  # the most coalitions one build_game oracle call receives
 
 
 class GameError(ValueError):
@@ -46,6 +47,17 @@ def mask_of(players: Iterable[int]) -> int:
 def coalition_label(mask: int) -> str:
     """1-indexed set notation, e.g. {1,3} for mask 0b101."""
     return "{" + ",".join(str(j + 1) for j in members(mask)) + "}"
+
+
+def split_masks(masks, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Members and non-members of each mask in a stack of equal-cardinality
+    masks (a single mask is a stack of one): two ascending index arrays of
+    shapes (m, k) and (m, d - k)."""
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+    inside = (masks[:, None] >> np.arange(d)) & 1
+    order = np.argsort(1 - inside, axis=1, kind="stable")
+    k = int(inside[0].sum()) if len(masks) else 0
+    return order[:, :k], order[:, k:]
 
 
 def popcount_table(d: int) -> np.ndarray:
@@ -136,18 +148,36 @@ class Allocation:
 
 def build_game(
     d: int,
-    oracle: Callable[[int], float],
+    oracle: Callable[[np.ndarray], np.ndarray],
     max_players: int = DEFAULT_MAX_PLAYERS,
+    chunk: Optional[int] = None,
 ) -> Game:
-    """Evaluate a coalition-worth oracle on all 2^d masks into a dense Game."""
+    """Evaluate a batched coalition-worth oracle on all 2^d masks into a dense Game.
+
+    The oracle maps an int64 array of masks, all of one cardinality, to an
+    array of their worths. Cardinality layers 0..d are walked in order, each
+    in ascending chunks of at most `chunk` masks (default BUILD_CHUNK), one
+    oracle call per chunk.
+    """
     if not (1 <= d <= max_players):
         raise GameError(f"player count {d} outside [1, {max_players}]")
+    sizes = popcount_table(d).astype(np.uint8)
+    order = np.argsort(sizes, kind="stable")
+    starts = np.searchsorted(sizes[order], np.arange(d + 2))
     values = np.empty(1 << d)
-    for m in range(1 << d):
-        x = float(oracle(m))
-        if not np.isfinite(x):
-            raise GameError(f"oracle returned non-finite value on {coalition_label(m)}")
-        values[m] = x
+    step = chunk or BUILD_CHUNK
+    for k in range(d + 1):
+        layer = order[starts[k]:starts[k + 1]]
+        for lo in range(0, len(layer), step):
+            masks = layer[lo:lo + step]
+            worths = np.asarray(oracle(masks), dtype=float)
+            if worths.shape != masks.shape:
+                raise GameError(f"oracle returned shape {worths.shape} for {len(masks)} coalitions")
+            bad = ~np.isfinite(worths)
+            if bad.any():
+                m = int(masks[np.argmax(bad)])
+                raise GameError(f"oracle returned non-finite value on {coalition_label(m)}")
+            values[masks] = worths
     return Game(d, values)
 
 

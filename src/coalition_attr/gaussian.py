@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import GameError, members
+from .games import GameError, split_masks
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -19,30 +19,34 @@ PSD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Mean vector and covariance matrix of a Gaussian feature vector."""
+    """Mean vector and covariance matrix of a Gaussian feature vector.
+
+    A 3-D covariance holds a stack of specs: means (m, d), covariances
+    (m, d, d), validated one by one.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mean, dtype=float).reshape(-1)
-        S = np.asarray(self.cov, dtype=float)
-        d = mu.shape[0]
-        if S.shape != (d, d):
+        S = np.array(self.cov, dtype=float)
+        mu = np.array(self.mean, dtype=float)
+        if S.ndim < 3:
+            mu = mu.reshape(-1)
+        d = mu.shape[-1]
+        if S.shape != mu.shape + (d,):
             raise GameError(f"covariance shape {S.shape} does not match mean length {d}")
-        if d and np.max(np.abs(S - S.T)) > SYMMETRY_TOL:
+        if d and np.max(np.abs(S - _t(S))) > SYMMETRY_TOL:
             raise GameError("covariance is not symmetric")
         if d:
-            eig = np.linalg.eigvalsh(S)
-            if eig[0] < -PSD_TOL:
-                raise GameError(f"covariance is not PSD (min eigenvalue {eig[0]:.3e})")
-            if eig[0] < 0:
+            low = np.linalg.eigvalsh(S)[..., 0]
+            if np.min(low) < -PSD_TOL:
+                raise GameError(f"covariance is not PSD (min eigenvalue {np.min(low):.3e})")
+            for i in map(tuple, np.argwhere(low < 0)):
                 # roundoff repair: clamp eigenvalues in [-PSD_TOL, 0) to zero
-                w, Q = np.linalg.eigh(S)
-                S = (Q * np.maximum(w, 0.0)) @ Q.T
-                S = (S + S.T) / 2
-        mu = mu.copy()
-        S = np.asarray(S, dtype=float).copy()
+                w, Q = np.linalg.eigh(S[i])
+                Si = (Q * np.maximum(w, 0.0)) @ Q.T
+                S[i] = (Si + Si.T) / 2
         mu.setflags(write=False)
         S.setflags(write=False)
         object.__setattr__(self, "mean", mu)
@@ -50,7 +54,7 @@ class GaussianSpec:
 
     @property
     def d(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
     @classmethod
     def from_json(cls, text: str) -> "GaussianSpec":
@@ -61,16 +65,49 @@ class GaussianSpec:
         return json.dumps({"mean": list(self.mean), "cov": [list(r) for r in self.cov]})
 
 
+# Stacked linear algebra over the trailing axes; leading axes index masks.
+def _t(A: np.ndarray) -> np.ndarray:
+    return np.swapaxes(A, -1, -2)
+
+
+def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return (A @ x[..., None])[..., 0]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _trace_of_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return np.einsum("...ij,...ji->...", A, B)
+
+
+def _block(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (rows, cols) sub-block of A for each row of the index stacks."""
+    return A[rows[..., :, None], cols[..., None, :]]
+
+
+def _scalar_or_stack(a):
+    return float(a) if np.ndim(a) == 0 else a
+
+
 def _solve_or_pinv(A: np.ndarray, B: np.ndarray, allow_pinv: bool) -> np.ndarray:
+    """Solve A X = B for a stack of square blocks. A block whose condition
+    number exceeds 1e12 is singular: it raises, or with allow_pinv gets the
+    pseudo-inverse solution; the others are solved exactly."""
     sv = np.linalg.svd(A, compute_uv=False)
-    if sv.size and sv[-1] <= sv[0] * 1e-12:
-        if not allow_pinv:
-            raise GameError(
-                "conditioning block is singular; pass allow_singular=True for a "
-                "pseudo-inverse solution"
-            )
-        return np.linalg.pinv(A) @ B
-    return np.linalg.solve(A, B)
+    singular = sv[..., -1] <= sv[..., 0] * 1e-12
+    if not singular.any():
+        return np.linalg.solve(A, B)
+    if not allow_pinv:
+        raise GameError(
+            "conditioning block is singular; pass allow_singular=True for a "
+            "pseudo-inverse solution"
+        )
+    X = np.empty(A.shape[:-1] + B.shape[-1:])
+    X[~singular] = np.linalg.solve(A[~singular], B[~singular])
+    X[singular] = np.linalg.pinv(A[singular]) @ B[singular]
+    return X
 
 
 def gaussian_conditional(
@@ -84,10 +121,10 @@ def gaussian_conditional(
     Returns the spec of the remaining coordinates (ascending index order):
     mean mu_C + S_CA S_AA^{-1} (x_A - mu_A), covariance the Schur complement.
     """
-    known, rest, W, _, S = _condition_blocks(spec, mask, allow_singular)
+    known, rest, W, _, S = (a[0] for a in _condition_blocks(spec, mask, allow_singular))
     if len(x_known) != len(known):
         raise GameError(f"expected {len(known)} conditioning values, got {len(x_known)}")
-    if not known:
+    if not len(known):
         return spec
     mu = spec.mean[rest] + W @ (np.asarray(x_known, float) - spec.mean[known])
     return GaussianSpec(mu, S)
@@ -95,7 +132,10 @@ def gaussian_conditional(
 
 @dataclass(frozen=True)
 class QuadForm:
-    """q(x) = c + b.x + x'Mx with M symmetric; closed under conditioning."""
+    """q(x) = c + b.x + x'Mx with M symmetric; closed under conditioning.
+
+    c (m,), b (m, k) and M (m, k, k) hold a stack of m forms, one per mask.
+    """
 
     c: float
     b: np.ndarray
@@ -124,65 +164,74 @@ class QuadForm:
                 M[j, i] += coeff / 2
         return cls(c, b, M)
 
-    def __call__(self, x: np.ndarray) -> float:
+    def __call__(self, x: np.ndarray):
+        """q(x); a float for one form at one point, else an array."""
         x = np.asarray(x, float)
-        return float(self.c + self.b @ x + x @ self.M @ x)
+        return _scalar_or_stack(self.c + _dot(self.b, x) + _dot(x, _mv(self.M, x)))
 
-    def mean_under(self, spec: GaussianSpec) -> float:
-        """E[q(X)] for X ~ spec."""
+    def mean_under(self, spec: GaussianSpec):
+        """E[q(X)] for X ~ spec (stacks pair up form by form)."""
         mu, S = spec.mean, spec.cov
-        return float(self.c + self.b @ mu + np.trace(self.M @ S) + mu @ self.M @ mu)
+        return _scalar_or_stack(
+            self.c + _dot(self.b, mu) + _trace_of_product(self.M, S) + _dot(mu, _mv(self.M, mu)))
 
-    def var_under(self, spec: GaussianSpec) -> float:
-        """Var[q(X)] for X ~ spec."""
+    def var_under(self, spec: GaussianSpec):
+        """Var[q(X)] for X ~ spec (stacks pair up form by form)."""
         mu, S = spec.mean, spec.cov
-        g = self.b + 2 * self.M @ mu
+        g = self.b + 2 * _mv(self.M, mu)
         MS = self.M @ S
-        return float(g @ S @ g + 2 * np.trace(MS @ MS))
+        return _scalar_or_stack(_dot(g, _mv(S, g)) + 2 * _trace_of_product(MS, MS))
 
 
-def _condition_blocks(spec: GaussianSpec, mask: int, allow_pinv: bool):
-    """Split on `mask` into (known, rest) indices; return them with the
-    affine conditional mean map mu_C(x) = m0 + W x and the Schur covariance."""
-    known = list(members(mask))
-    rest = [j for j in range(spec.d) if not (mask >> j) & 1]
-    Saa = spec.cov[np.ix_(known, known)]
-    Sca = spec.cov[np.ix_(rest, known)]
-    Scc = spec.cov[np.ix_(rest, rest)]
-    W = _solve_or_pinv(Saa, Sca.T, allow_pinv).T if known else np.zeros((len(rest), 0))
-    m0 = spec.mean[rest] - W @ spec.mean[known]
-    Sc = Scc - W @ Sca.T
-    return known, rest, W, m0, (Sc + Sc.T) / 2
+def _condition_blocks(spec: GaussianSpec, masks, allow_pinv: bool):
+    """Split each of a stack of equal-cardinality masks into (known, rest)
+    index rows; return them with the affine conditional mean maps
+    mu_C(x) = m0 + W x and the Schur covariances, one per mask."""
+    known, rest = split_masks(masks, spec.d)
+    Sca = _block(spec.cov, rest, known)
+    W = np.zeros(Sca.shape)
+    if known.shape[1]:
+        W = _t(_solve_or_pinv(_block(spec.cov, known, known), _t(Sca), allow_pinv))
+    m0 = spec.mean[rest] - _mv(W, spec.mean[known])
+    Sc = _block(spec.cov, rest, rest) - W @ _t(Sca)
+    return known, rest, W, m0, (Sc + _t(Sc)) / 2
 
 
-def conditional_mean_quad(q: QuadForm, spec: GaussianSpec, mask: int) -> QuadForm:
-    """E[q(X) | X_A = x] as a quadratic form in x (coordinates of A, ascending)."""
-    known, rest, W, m0, Sc = _condition_blocks(spec, mask, allow_pinv=True)
+def conditional_mean_quad(q: QuadForm, spec: GaussianSpec, masks) -> QuadForm:
+    """E[q(X) | X_A = x] as a quadratic form in x (coordinates of A,
+    ascending), one form per mask A of an equal-cardinality stack."""
+    known, rest, W, m0, Sc = _condition_blocks(spec, masks, allow_pinv=True)
     bB, bC = q.b[known], q.b[rest]
-    MBB = q.M[np.ix_(known, known)]
-    MBC = q.M[np.ix_(known, rest)]
-    MCC = q.M[np.ix_(rest, rest)]
-    c = q.c + bC @ m0 + np.trace(MCC @ Sc) + m0 @ MCC @ m0
-    b = bB + W.T @ bC + 2 * MBC @ m0 + 2 * W.T @ MCC @ m0
-    M = MBB + MBC @ W + W.T @ MBC.T + W.T @ MCC @ W
-    return QuadForm(float(c), b, (M + M.T) / 2)
+    MBB = _block(q.M, known, known)
+    MBC = _block(q.M, known, rest)
+    MCC = _block(q.M, rest, rest)
+    Wt = _t(W)
+    MCCm0 = _mv(MCC, m0)
+    c = q.c + _dot(bC, m0) + _trace_of_product(MCC, Sc) + _dot(m0, MCCm0)
+    b = bB + _mv(Wt, bC) + 2 * _mv(MBC, m0) + 2 * _mv(Wt, MCCm0)
+    M = MBB + MBC @ W + Wt @ _t(MBC) + Wt @ MCC @ W
+    return QuadForm(c, b, (M + _t(M)) / 2)
 
 
-def conditional_var_quad(q: QuadForm, spec: GaussianSpec, mask: int) -> QuadForm:
-    """Var[q(X) | X_B = x] as a quadratic form in x (coordinates of B, ascending)."""
-    known, rest, W, m0, Sc = _condition_blocks(spec, mask, allow_pinv=True)
+def conditional_var_quad(q: QuadForm, spec: GaussianSpec, masks) -> QuadForm:
+    """Var[q(X) | X_B = x] as a quadratic form in x (coordinates of B,
+    ascending), one form per mask B of an equal-cardinality stack."""
+    known, rest, W, m0, Sc = _condition_blocks(spec, masks, allow_pinv=True)
     bC = q.b[rest]
-    MCB = q.M[np.ix_(rest, known)]
-    MCC = q.M[np.ix_(rest, rest)]
+    MCB = _block(q.M, rest, known)
+    MCC = _block(q.M, rest, rest)
     # gradient of the complement-quadratic at the conditional mean, affine in x
-    g0 = bC + 2 * MCC @ m0
+    g0 = bC + 2 * _mv(MCC, m0)
     G = 2 * MCB + 2 * MCC @ W
     MSc = MCC @ Sc
-    c = g0 @ Sc @ g0 + 2 * np.trace(MSc @ MSc)
-    b = 2 * G.T @ Sc @ g0
-    M = G.T @ Sc @ G
-    return QuadForm(float(c), b, (M + M.T) / 2)
+    c = _dot(g0, _mv(Sc, g0)) + 2 * _trace_of_product(MSc, MSc)
+    GtSc = _t(G) @ Sc
+    b = 2 * _mv(GtSc, g0)
+    M = GtSc @ G
+    return QuadForm(c, b, (M + _t(M)) / 2)
 
 
-def subvector(spec: GaussianSpec, idx: list[int]) -> GaussianSpec:
-    return GaussianSpec(spec.mean[idx], spec.cov[np.ix_(idx, idx)])
+def subvector(spec: GaussianSpec, idx) -> GaussianSpec:
+    """The marginal spec of coordinates idx; an (m, k) idx gives a stack."""
+    idx = np.asarray(idx, dtype=np.int64)
+    return GaussianSpec(spec.mean[idx], _block(spec.cov, idx, idx))

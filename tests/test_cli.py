@@ -179,6 +179,42 @@ def test_exit_2_on_invalid_thread_count(g2_file, monkeypatch, capsys, value):
     assert "COALITION_ATTR_THREADS" in capsys.readouterr().err
 
 
+@pytest.fixture
+def gauss3_file(tmp_path):
+    p = tmp_path / "gauss3.json"
+    p.write_text('{"mean":[0,0,0],"cov":[[1,0.5,0],[0.5,1,0.5],[0,0.5,1]]}')
+    return str(p)
+
+
+def test_power_overflow_exits_2(tmp_path, capsys):
+    data = tmp_path / "bg.csv"
+    data.write_text("x1,x2\n1e200,1\n0,0\n")
+    assert main(["attribute", "--model", "x1^2 + x2", "--value-fn", "marginal",
+                 "--data", str(data), "--x", "1,1", "--method", "shapley"]) == 2
+    assert "non-finite intermediate value" in capsys.readouterr().err
+    assert main(["attribute", "--model", "2^99999 + x1", "--value-fn", "marginal",
+                 "--data", str(data), "--x", "1,1", "--d", "2", "--method", "shapley"]) == 2
+    assert "non-finite intermediate value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["(" * 3000 + "x1" + ")" * 3000, "x1" + "+x1" * 3000])
+def test_too_deep_expression_exits_2(tmp_path, capsys, model):
+    data = tmp_path / "bg.csv"
+    data.write_text("0\n1\n")
+    assert main(["attribute", "--model", model, "--value-fn", "marginal",
+                 "--data", str(data), "--x", "1", "--method", "shapley"]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value_fn", ["cond-gauss", "cond-mc"])
+@pytest.mark.parametrize("shape", [["--x=1,1"], ["--d", "2", "--x=1,1"]])
+def test_feature_count_mismatch_exits_4(gauss3_file, capsys, value_fn, shape):
+    argv = ["attribute", "--model", "x1 + x2", "--gaussian", gauss3_file,
+            "--value-fn", value_fn, "--method", "shapley", "--n", "10", "--seed", "1"]
+    assert main(argv + shape) == 4
+    assert "disagree on feature count" in capsys.readouterr().err
+
+
 def test_exit_4_on_numerical_failure(tmp_path, capsys):
     g = tmp_path / "neg.json"
     g.write_text('{"d":2,"values":[0,1,0,2]}')  # zero singleton worth

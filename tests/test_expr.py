@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from coalition_attr.expr import (
+    MAX_DEPTH,
     Bin,
     ExprError,
     Lit,
@@ -17,6 +18,40 @@ from coalition_attr.expr import (
     parse,
     to_str,
 )
+
+
+def scalar_evaluate(e, point) -> float:
+    """The one-point recursive evaluator the array evaluator replaced, kept
+    as its oracle."""
+
+    def rec(node):
+        if isinstance(node, Lit):
+            return node.value
+        if isinstance(node, Var):
+            return float(point[node.index])
+        if isinstance(node, Neg):
+            return -rec(node.arg)
+        if isinstance(node, Pow):
+            out = rec(node.base) ** node.exp
+            if not math.isfinite(out):
+                raise ExprError("non-finite intermediate value", 0)
+            return out
+        a, b = rec(node.left), rec(node.right)
+        if node.op == "+":
+            out = a + b
+        elif node.op == "-":
+            out = a - b
+        elif node.op == "*":
+            out = a * b
+        else:
+            if b == 0:
+                raise ExprError("division by zero", 0)
+            out = a / b
+        if not math.isfinite(out):
+            raise ExprError("non-finite intermediate value", 0)
+        return out
+
+    return rec(e)
 
 
 def test_parse_reference_model():
@@ -151,3 +186,87 @@ def test_fuzz_no_crashes():
             evaluate(e, [1.0, 2.0, 3.0])
         except ExprError as err:
             assert err.pos >= 0
+
+
+def test_array_evaluation_matches_scalar_oracle_bit_for_bit():
+    rng = random.Random(7)
+    pts = np.random.default_rng(7).normal(scale=3.0, size=(64, 3))
+    for _ in range(300):
+        tree = _random_tree(rng, 3, 4)
+        want = np.array([scalar_evaluate(tree, p) for p in pts])
+        assert np.array_equal(evaluate(tree, pts), want)
+        assert np.array_equal(evaluate(tree, pts.reshape(8, 8, 3)), want.reshape(8, 8))
+        assert evaluate(tree, pts[5]) == want[5]
+
+
+def test_array_evaluation_matches_oracle_on_powers_and_division():
+    pts = np.random.default_rng(8).normal(scale=10.0, size=(500, 2))
+    for src in ("x1^3 - x2^5 + 0.3*x1^7", "x1/(x2^2 + 1)", "(x1 - 2*x2)^4 / 3"):
+        tree = parse(src, 2)
+        want = np.array([scalar_evaluate(tree, p) for p in pts])
+        assert np.array_equal(evaluate(tree, pts), want)
+
+
+def test_array_evaluation_of_a_constant_fills_the_rows():
+    out = evaluate(parse("7", 2), np.zeros((3, 2)))
+    assert out.shape == (3,) and np.all(out == 7.0)
+    assert evaluate(parse("7", 2), [0.0, 0.0]) == 7.0
+
+
+def test_array_division_by_zero_in_any_row():
+    e = parse("x1/x2", 2)
+    with pytest.raises(ExprError, match="division"):
+        evaluate(e, [[1.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("src, point", [
+    ("x1^2 + x2", [1e200, 1.0]),
+    ("2^99999 + x1", [1.0, 1.0]),
+    ("x1*x1*x1", [1e200, 0.0]),
+    ("x1 - x2", [np.inf, 1.0]),
+    ("x1 / 1e-300", [1e100, 0.0]),
+])
+def test_overflow_is_a_non_finite_intermediate(src, point):
+    e = parse(src, 2)
+    for X in (point, [[0.0, 1.0], point]):
+        with pytest.raises(ExprError, match="non-finite"):
+            evaluate(e, X)
+
+
+def test_non_finite_input_reaches_the_output_only_through_leaves():
+    # as in the scalar evaluator, only operator results are checked
+    assert math.isnan(evaluate(parse("-x1", 1), [math.nan]))
+    assert evaluate(parse("x1^0", 1), [math.nan]) == 1.0
+    with pytest.raises(ExprError, match="non-finite"):
+        evaluate(parse("x1 + 1", 1), [[0.0], [math.nan]])
+
+
+@pytest.mark.parametrize("src, offset", [
+    ("(" * 3000 + "x1" + ")" * 3000, MAX_DEPTH),
+    ("x1" + "+x1" * 3000, 2 + 3 * (MAX_DEPTH - 1)),
+])
+def test_depth_bound(src, offset):
+    with pytest.raises(ExprError, match="nested deeper") as exc:
+        parse(src, 1)
+    assert exc.value.pos == offset
+
+
+@pytest.mark.parametrize("src", [
+    "(" * (MAX_DEPTH - 1) + "x1" + ")" * (MAX_DEPTH - 1),
+    "x1" + "+x1" * (MAX_DEPTH - 1),
+    "-" * (MAX_DEPTH - 1) + "x1",
+    "x1-(" * (MAX_DEPTH // 2 - 1) + "x1" + ")" * (MAX_DEPTH // 2 - 1),
+])
+def test_expressions_at_the_depth_bound_work_everywhere(src):
+    tree = parse(src, 1)
+    assert monomials(tree, 1) is not None
+    assert evaluate(tree, [[1.0], [2.0]]).shape == (2,)
+    assert len(to_str(tree)) >= len(src.replace("(", "").replace(")", ""))
+
+
+def test_fully_parenthesized_rendering_round_trips_at_half_the_bound():
+    # to_str wraps every operator in its own parentheses, doubling the depth
+    tree = parse("x1" + "+x1" * (MAX_DEPTH // 2 - 1), 1)
+    assert parse(to_str(tree), 1) == tree
+    with pytest.raises(ExprError, match="nested deeper"):
+        parse(to_str(parse("x1" + "+x1" * (MAX_DEPTH - 1), 1)), 1)

@@ -25,31 +25,31 @@ def test_mask_helpers():
 
 
 def test_build_game_cardinality():
-    g = build_game(2, lambda m: m.bit_count())
+    g = build_game(2, np.bitwise_count)
     assert list(g.values) == [0, 1, 1, 2]
 
 
 def test_build_game_null():
-    g = build_game(1, lambda m: 0.0)
+    g = build_game(1, np.zeros_like)
     assert list(g.values) == [0, 0]
 
 
 def test_build_game_reference_table(g2):
-    table = {0: 0.0, 1: 1.0, 2: 2.0, 3: 4.0}
+    table = np.array([0.0, 1.0, 2.0, 4.0])
     g = build_game(2, table.__getitem__)
     assert np.array_equal(g.values, g2.values)
 
 
 def test_build_game_rejects_nonfinite():
     with pytest.raises(GameError, match=r"\{2\}"):
-        build_game(2, lambda m: math.nan if m == 0b10 else 0.0)
+        build_game(2, lambda m: np.where(m == 0b10, math.nan, 0.0))
 
 
 def test_build_game_cap():
     with pytest.raises(GameError):
-        build_game(21, lambda m: 0.0)
+        build_game(21, np.zeros_like)
     with pytest.raises(GameError):
-        build_game(0, lambda m: 0.0)
+        build_game(0, np.zeros_like)
 
 
 def test_game_validation():
