@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .dividends import dividends_fast
-from .games import Allocation, Game, GameError, coalition_label, dual_game, popcount_table
+from .games import Allocation, Game, GameError, coalition_label, dual_game, layers, popcount_table
 from .orderings import RandomOrderDistribution, SeededSampler, Uniform
 
 WEIGHT_TOL = 1e-9
@@ -145,8 +145,7 @@ class WeightSystem:
         w = np.fromiter(self.entries.values(), float, n)
         inside = (masks >> players) & 1 == 1
         if self.preset == "egalitarian":
-            size = sum((masks >> k) & 1 for k in range(d))
-            return players, masks, w - inside / np.maximum(size, 1)
+            return players, masks, w - inside / np.maximum(np.bitwise_count(masks), 1)
         if self.preset == "min-owner":
             return players, masks, w - ((masks & -masks) == 1 << players)
         return players, masks, w
@@ -249,15 +248,13 @@ def proportional_value(g: Game) -> Allocation:
             f"proportional value needs strictly positive worth; "
             f"v({coalition_label(mask)}) = {v[mask]}"
         )
-    sizes = popcount_table(d)
     potential = np.ones(1 << d)
-    for k in range(1, d + 1):
-        layer = np.flatnonzero(sizes == k)
-        inverse_sum = np.zeros(layer.size)
+    for masks in layers(d)[1:]:
+        inverse_sum = np.zeros(masks.size)
         for i in range(d):
-            has_i = (layer & (1 << i)) != 0
-            inverse_sum[has_i] += 1.0 / potential[layer[has_i] ^ (1 << i)]
-        potential[layer] = v[layer] / inverse_sum
+            has_i = (masks & (1 << i)) != 0
+            inverse_sum[has_i] += 1.0 / potential[masks[has_i] ^ (1 << i)]
+        potential[masks] = v[masks] / inverse_sum
     full = (1 << d) - 1
     return Allocation(potential[full] / potential[full ^ (1 << np.arange(d))], "proportional")
 

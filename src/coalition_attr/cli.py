@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -284,7 +285,7 @@ def verify_game(g: Game, seed: int = 0, _corrupt_dividends: bool = False) -> lis
     checks: list[tuple[str, bool]] = []
 
     routes = [shapley_direct(g), shapley_dividends(g), harsanyi_allocate(g, WeightSystem())]
-    if g.d <= 8:
+    if g.d <= Uniform.MAX_EXACT_PLAYERS:
         routes.append(shapley_permutation(g))
         routes.append(weber_allocate(g, Uniform()))
     base = routes[0].payoffs
@@ -432,10 +433,15 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    ap = make_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_CONFIG if (e.code or 0) != 0 else EXIT_OK
     try:

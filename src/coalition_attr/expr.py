@@ -242,21 +242,30 @@ def _evaluate(node: Expr, cols: np.ndarray, check_each: bool):
     return out
 
 
+def _mul(p, q):
+    """Product of two expanded polynomials, like terms merged."""
+    out: dict[tuple[int, ...], float] = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            out[key] = out.get(key, 0.0) + ca * cb
+    return out
+
+
 def monomials(e: Expr, d: int) -> Optional[dict[tuple[int, ...], float]]:
     """Expanded normal form as exponent-vector -> coefficient, like terms
     merged; None when the tree is not a polynomial (division by a
-    non-constant or by zero)."""
+    non-constant or by zero). A non-finite coefficient in any subtree's
+    expansion raises ExprError, as a non-finite value does in `evaluate`."""
     zero = tuple([0] * d)
 
-    def mul(p, q):
-        out: dict[tuple[int, ...], float] = {}
-        for ea, ca in p.items():
-            for eb, cb in q.items():
-                key = tuple(a + b for a, b in zip(ea, eb))
-                out[key] = out.get(key, 0.0) + ca * cb
-        return out
-
     def rec(node: Expr):
+        p = expand(node)
+        if p is not None and not all(map(math.isfinite, p.values())):
+            raise ExprError("non-finite intermediate value", 0)
+        return p
+
+    def expand(node: Expr):
         if isinstance(node, Lit):
             return {zero: node.value}
         if isinstance(node, Var):
@@ -269,9 +278,14 @@ def monomials(e: Expr, d: int) -> Optional[dict[tuple[int, ...], float]]:
             p = rec(node.base)
             if p is None:
                 return None
-            out = {zero: 1.0}
-            for _ in range(node.exp):
-                out = mul(out, p)
+            # by squaring: O(log exp) products
+            out, k = {zero: 1.0}, node.exp
+            while k:
+                if k & 1:
+                    out = _mul(out, p)
+                k >>= 1
+                if k:
+                    p = _mul(p, p)
             return out
         p, q = rec(node.left), rec(node.right)
         if p is None or q is None:
@@ -287,7 +301,7 @@ def monomials(e: Expr, d: int) -> Optional[dict[tuple[int, ...], float]]:
                 out[k] = out.get(k, 0.0) - v
             return out
         if node.op == "*":
-            return mul(p, q)
+            return _mul(p, q)
         # division: only by a nonzero constant
         if set(q) - {zero} or q.get(zero, 0.0) == 0.0:
             return None

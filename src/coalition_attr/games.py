@@ -14,7 +14,7 @@ import numpy as np
 
 DEFAULT_MAX_PLAYERS = 20
 EXACT_TOL = 1e-10
-BUILD_CHUNK = 1024  # the most coalitions one build_game oracle call receives
+BUILD_CHUNK = 1024  # the most masks in one block of layers, so in one build_game oracle call
 
 
 class GameError(ValueError):
@@ -61,11 +61,18 @@ def split_masks(masks, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def popcount_table(d: int) -> np.ndarray:
-    """Cardinality of every coalition mask below 2^d."""
-    sizes = np.zeros(1 << d, dtype=np.int64)
-    for j in range(d):
-        sizes += (np.arange(1 << d) >> j) & 1
-    return sizes
+    """Cardinality of every coalition mask below 2^d, as uint8."""
+    return np.bitwise_count(np.arange(1 << d))
+
+
+def layers(d: int, block: int = BUILD_CHUNK) -> list[np.ndarray]:
+    """Every mask below 2^d, as int64 blocks of at most `block` masks of one
+    cardinality: layers 0..d in order, masks ascending within each layer."""
+    sizes = popcount_table(d)
+    order = np.argsort(sizes, kind="stable")
+    starts = np.searchsorted(sizes[order], np.arange(d + 2))
+    return [order[lo:min(lo + block, starts[k + 1])]
+            for k in range(d + 1) for lo in range(starts[k], starts[k + 1], block)]
 
 
 @dataclass(frozen=True)
@@ -149,35 +156,26 @@ class Allocation:
 def build_game(
     d: int,
     oracle: Callable[[np.ndarray], np.ndarray],
-    max_players: int = DEFAULT_MAX_PLAYERS,
     chunk: Optional[int] = None,
 ) -> Game:
     """Evaluate a batched coalition-worth oracle on all 2^d masks into a dense Game.
 
     The oracle maps an int64 array of masks, all of one cardinality, to an
-    array of their worths. Cardinality layers 0..d are walked in order, each
-    in ascending chunks of at most `chunk` masks (default BUILD_CHUNK), one
-    oracle call per chunk.
+    array of their worths. It is called once per block of `layers(d, chunk)`
+    (chunk defaults to BUILD_CHUNK).
     """
-    if not (1 <= d <= max_players):
-        raise GameError(f"player count {d} outside [1, {max_players}]")
-    sizes = popcount_table(d).astype(np.uint8)
-    order = np.argsort(sizes, kind="stable")
-    starts = np.searchsorted(sizes[order], np.arange(d + 2))
+    if not (1 <= d <= DEFAULT_MAX_PLAYERS):
+        raise GameError(f"player count {d} outside [1, {DEFAULT_MAX_PLAYERS}]")
     values = np.empty(1 << d)
-    step = chunk or BUILD_CHUNK
-    for k in range(d + 1):
-        layer = order[starts[k]:starts[k + 1]]
-        for lo in range(0, len(layer), step):
-            masks = layer[lo:lo + step]
-            worths = np.asarray(oracle(masks), dtype=float)
-            if worths.shape != masks.shape:
-                raise GameError(f"oracle returned shape {worths.shape} for {len(masks)} coalitions")
-            bad = ~np.isfinite(worths)
-            if bad.any():
-                m = int(masks[np.argmax(bad)])
-                raise GameError(f"oracle returned non-finite value on {coalition_label(m)}")
-            values[masks] = worths
+    for masks in layers(d, chunk or BUILD_CHUNK):
+        worths = np.asarray(oracle(masks), dtype=float)
+        if worths.shape != masks.shape:
+            raise GameError(f"oracle returned shape {worths.shape} for {len(masks)} coalitions")
+        bad = ~np.isfinite(worths)
+        if bad.any():
+            m = int(masks[np.argmax(bad)])
+            raise GameError(f"oracle returned non-finite value on {coalition_label(m)}")
+        values[masks] = worths
     return Game(d, values)
 
 

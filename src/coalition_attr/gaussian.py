@@ -19,34 +19,28 @@ PSD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Mean vector and covariance matrix of a Gaussian feature vector.
-
-    A 3-D covariance holds a stack of specs: means (m, d), covariances
-    (m, d, d), validated one by one.
-    """
+    """Mean vector and covariance matrix of a Gaussian feature vector."""
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
+        mu = np.array(self.mean, dtype=float).reshape(-1)
         S = np.array(self.cov, dtype=float)
-        mu = np.array(self.mean, dtype=float)
-        if S.ndim < 3:
-            mu = mu.reshape(-1)
-        d = mu.shape[-1]
-        if S.shape != mu.shape + (d,):
+        d = mu.shape[0]
+        if S.shape != (d, d):
             raise GameError(f"covariance shape {S.shape} does not match mean length {d}")
-        if d and np.max(np.abs(S - _t(S))) > SYMMETRY_TOL:
+        if d and np.max(np.abs(S - S.T)) > SYMMETRY_TOL:
             raise GameError("covariance is not symmetric")
         if d:
-            low = np.linalg.eigvalsh(S)[..., 0]
-            if np.min(low) < -PSD_TOL:
-                raise GameError(f"covariance is not PSD (min eigenvalue {np.min(low):.3e})")
-            for i in map(tuple, np.argwhere(low < 0)):
+            low = np.linalg.eigvalsh(S)[0]
+            if low < -PSD_TOL:
+                raise GameError(f"covariance is not PSD (min eigenvalue {low:.3e})")
+            if low < 0:
                 # roundoff repair: clamp eigenvalues in [-PSD_TOL, 0) to zero
-                w, Q = np.linalg.eigh(S[i])
-                Si = (Q * np.maximum(w, 0.0)) @ Q.T
-                S[i] = (Si + Si.T) / 2
+                w, Q = np.linalg.eigh(S)
+                S = (Q * np.maximum(w, 0.0)) @ Q.T
+                S = (S + S.T) / 2
         mu.setflags(write=False)
         S.setflags(write=False)
         object.__setattr__(self, "mean", mu)
@@ -54,7 +48,7 @@ class GaussianSpec:
 
     @property
     def d(self) -> int:
-        return self.mean.shape[-1]
+        return self.mean.shape[0]
 
     @classmethod
     def from_json(cls, text: str) -> "GaussianSpec":
@@ -85,10 +79,6 @@ def _trace_of_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _block(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The (rows, cols) sub-block of A for each row of the index stacks."""
     return A[rows[..., :, None], cols[..., None, :]]
-
-
-def _scalar_or_stack(a):
-    return float(a) if np.ndim(a) == 0 else a
 
 
 def _solve_or_pinv(A: np.ndarray, B: np.ndarray, allow_pinv: bool) -> np.ndarray:
@@ -164,23 +154,20 @@ class QuadForm:
                 M[j, i] += coeff / 2
         return cls(c, b, M)
 
-    def __call__(self, x: np.ndarray):
-        """q(x); a float for one form at one point, else an array."""
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """q(x), one point per form (stacks pair up form by form)."""
         x = np.asarray(x, float)
-        return _scalar_or_stack(self.c + _dot(self.b, x) + _dot(x, _mv(self.M, x)))
+        return self.c + _dot(self.b, x) + _dot(x, _mv(self.M, x))
 
-    def mean_under(self, spec: GaussianSpec):
-        """E[q(X)] for X ~ spec (stacks pair up form by form)."""
-        mu, S = spec.mean, spec.cov
-        return _scalar_or_stack(
-            self.c + _dot(self.b, mu) + _trace_of_product(self.M, S) + _dot(mu, _mv(self.M, mu)))
+    def mean_under(self, mu: np.ndarray, S: np.ndarray) -> np.ndarray:
+        """E[q(X)] for X ~ N(mu, S) (stacks pair up form by form)."""
+        return self.c + _dot(self.b, mu) + _trace_of_product(self.M, S) + _dot(mu, _mv(self.M, mu))
 
-    def var_under(self, spec: GaussianSpec):
-        """Var[q(X)] for X ~ spec (stacks pair up form by form)."""
-        mu, S = spec.mean, spec.cov
+    def var_under(self, mu: np.ndarray, S: np.ndarray) -> np.ndarray:
+        """Var[q(X)] for X ~ N(mu, S) (stacks pair up form by form)."""
         g = self.b + 2 * _mv(self.M, mu)
         MS = self.M @ S
-        return _scalar_or_stack(_dot(g, _mv(S, g)) + 2 * _trace_of_product(MS, MS))
+        return _dot(g, _mv(S, g)) + 2 * _trace_of_product(MS, MS)
 
 
 def _condition_blocks(spec: GaussianSpec, masks, allow_pinv: bool):
@@ -231,7 +218,8 @@ def conditional_var_quad(q: QuadForm, spec: GaussianSpec, masks) -> QuadForm:
     return QuadForm(c, b, (M + _t(M)) / 2)
 
 
-def subvector(spec: GaussianSpec, idx) -> GaussianSpec:
-    """The marginal spec of coordinates idx; an (m, k) idx gives a stack."""
+def subvector(spec: GaussianSpec, idx) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of coordinates idx of the spec, which validated
+    them already; an (m, k) idx gives (m, k) means and (m, k, k) covariances."""
     idx = np.asarray(idx, dtype=np.int64)
-    return GaussianSpec(spec.mean[idx], _block(spec.cov, idx, idx))
+    return spec.mean[idx], _block(spec.cov, idx, idx)

@@ -16,15 +16,12 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .games import DEFAULT_MAX_PLAYERS, GameError, popcount_table
+from .games import DEFAULT_MAX_PLAYERS, GameError, layers
 
 PMF_TOL = 1e-9
 
 # Exact expansion refuses beyond this many orderings (10!).
 MAX_ENUMERATION = math.factorial(10)
-
-# Masks per step of the count-table build: bounds its (masks x d) temporaries.
-TABLE_BLOCK = 1024
 
 
 class SupportTooLargeError(GameError):
@@ -122,16 +119,13 @@ class PartialOrderUniform:
         if self.d > DEFAULT_MAX_PLAYERS:
             # 2^d table entries; int64 counts stay exact up to 20!
             raise GameError(f"partial orders support at most {DEFAULT_MAX_PLAYERS} players")
-        sizes = popcount_table(self.d)
         bits = 1 << np.arange(self.d, dtype=np.int64)
         counts = np.zeros(1 << self.d, dtype=np.int64)
         counts[-1] = 1
-        for k in range(self.d - 1, -1, -1):
-            layer = np.flatnonzero(sizes == k)
-            for start in range(0, layer.size, TABLE_BLOCK):
-                masks = layer[start:start + TABLE_BLOCK]
-                above = np.where(self._ready(masks), counts[masks[:, None] | bits], 0)
-                counts[masks] = above.sum(axis=1)
+        # the grand coalition's block is the last; blocks bound the (masks x d) temporaries
+        for masks in reversed(layers(self.d)[:-1]):
+            above = np.where(self._ready(masks), counts[masks[:, None] | bits], 0)
+            counts[masks] = above.sum(axis=1)
         if counts[0] == 0:
             raise GameError("cycle detected among the precedence constraints")
         object.__setattr__(self, "counts", counts)

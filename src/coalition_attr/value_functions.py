@@ -190,13 +190,13 @@ def _sobol_game(f: Model, spec: GaussianSpec, normalize: bool,
         def worth(masks: np.ndarray) -> np.ndarray:
             cond_masks = (full ^ masks) if total_index else masks
             known, _ = split_masks(cond_masks, f.d)
-            sub = subvector(spec, known)
+            mu, S = subvector(spec, known)
             if total_index:
-                return conditional_var_quad(q, spec, cond_masks).mean_under(sub)
-            return conditional_mean_quad(q, spec, cond_masks).var_under(sub)
+                return conditional_var_quad(q, spec, cond_masks).mean_under(mu, S)
+            return conditional_mean_quad(q, spec, cond_masks).var_under(mu, S)
 
         g = build_game(f.d, worth)
-        total = q.var_under(spec)
+        total = float(q.var_under(spec.mean, spec.cov))
     else:
         n, seed = mc
         g = _sobol_mc(f, spec, n, seed, total_index)

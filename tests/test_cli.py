@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from coalition_attr import Game
+from coalition_attr import Game, cli
 from coalition_attr.cli import main
 from conftest import g3_fixture, unanimity_game
 
@@ -195,6 +195,37 @@ def test_power_overflow_exits_2(tmp_path, capsys):
     assert main(["attribute", "--model", "2^99999 + x1", "--value-fn", "marginal",
                  "--data", str(data), "--x", "1,1", "--d", "2", "--method", "shapley"]) == 2
     assert "non-finite intermediate value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value_fn", ["marginal", "cond-gauss", "sobol"])
+def test_non_finite_coefficient_exits_2(tmp_path, gauss3_file, capsys, value_fn):
+    data = tmp_path / "bg.csv"
+    data.write_text("0,0,0\n1,1,1\n")
+    assert main(["attribute", "--model", "2^99999 + x1", "--value-fn", value_fn,
+                 "--data", str(data), "--gaussian", gauss3_file, "--x", "1,1,1",
+                 "--method", "shapley"]) == 2
+    assert "non-finite intermediate value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value_fn", ["cond-gauss", "cond-mc", "sobol"])
+def test_stacked_gaussian_spec_exits_3(tmp_path, capsys, value_fn):
+    spec = tmp_path / "stacked.json"
+    spec.write_text('{"mean":[[0,0]],"cov":[[[1,0],[0,1]]]}')
+    assert main(["attribute", "--model", "x1+x2", "--gaussian", str(spec), "--x", "1,1",
+                 "--value-fn", value_fn, "--method", "shapley", "--n", "10",
+                 "--seed", "1"]) == 3
+    assert "bad Gaussian spec" in capsys.readouterr().err
+
+
+def test_main_builds_the_parser_once(g2_file, monkeypatch, capsys):
+    built = []
+    make_parser = cli.make_parser
+    monkeypatch.setattr(cli, "make_parser", lambda: built.append(1) or make_parser())
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert main(["attribute", "--game", g2_file, "--method", "shapley"]) == 0
+    assert len(built) == 1
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("model", ["(" * 3000 + "x1" + ")" * 3000, "x1" + "+x1" * 3000])

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from coalition_attr import expr
 from coalition_attr.expr import (
     MAX_DEPTH,
     Bin,
@@ -123,6 +124,24 @@ def test_monomials_reference_model():
 def test_monomials_binomial_expansion():
     m = monomials(parse("(x1+1)^2", 1), 1)
     assert m == {(2,): 1.0, (1,): 2.0, (0,): 1.0}
+    for k in range(8):
+        m = monomials(parse(f"(x1+1)^{k}", 1), 1)
+        assert m == {(j,): float(math.comb(k, j)) for j in range(k + 1)}
+
+
+def test_power_expands_by_squaring(monkeypatch):
+    calls = []
+    mul = expr._mul
+    monkeypatch.setattr(expr, "_mul", lambda p, q: calls.append(1) or mul(p, q))
+    k = 10**6
+    assert monomials(parse(f"x1^{k}", 1), 1) == {(k,): 1.0}
+    assert len(calls) <= 2 * k.bit_length()
+
+
+@pytest.mark.parametrize("src", ["2^99999 + x1", "x1 / 2^99999", "(1e300 * x1)^2 - x2"])
+def test_non_finite_coefficient_is_an_expr_error(src):
+    with pytest.raises(ExprError, match="non-finite intermediate value"):
+        monomials(parse(src, 2), 2)
 
 
 def test_monomials_not_polynomial():

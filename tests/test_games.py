@@ -14,6 +14,7 @@ from coalition_attr import (
     mask_of,
     members,
 )
+from coalition_attr.games import layers
 from conftest import g3_fixture, random_game
 
 
@@ -50,6 +51,20 @@ def test_build_game_cap():
         build_game(21, np.zeros_like)
     with pytest.raises(GameError):
         build_game(0, np.zeros_like)
+
+
+@pytest.mark.parametrize("block", [1, 3, 1024])
+@pytest.mark.parametrize("d", range(1, 11))
+def test_layers_walk_every_mask_by_cardinality(d, block):
+    blocks = layers(d, block)
+    masks = np.concatenate(blocks)
+    assert np.array_equal(np.sort(masks), np.arange(1 << d))
+    assert all(b.dtype == np.int64 and 1 <= len(b) <= block for b in blocks)
+    sizes = [np.unique(np.bitwise_count(b)) for b in blocks]
+    assert all(len(s) == 1 for s in sizes)
+    assert np.all(np.diff(np.concatenate(sizes).astype(int)) >= 0)
+    same_layer = np.diff(np.bitwise_count(masks).astype(int)) == 0
+    assert np.all(np.diff(masks)[same_layer] > 0)
 
 
 def test_game_validation():

@@ -31,6 +31,8 @@ def test_spec_validation():
         GaussianSpec(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(GameError, match="shape"):
         GaussianSpec(np.zeros(3), np.eye(2))
+    with pytest.raises(GameError, match="shape"):
+        GaussianSpec(np.zeros((1, 2)), np.eye(2)[None])
 
 
 def test_spec_clamps_roundoff_eigenvalue():
