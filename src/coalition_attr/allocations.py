@@ -25,17 +25,22 @@ MC_CHUNK = 1024
 
 
 def shapley_direct(g: Game) -> Allocation:
-    """Coalition-enumeration Shapley: binomially weighted marginal gains."""
+    """Coalition-enumeration Shapley: binomially weighted marginal gains.
+
+    For each player j, the view of shape (-1, 2, 2^j) pairs every coalition
+    without j (middle index 0) with its union with j (middle index 1), as in
+    `dividends._subset_sums`, so each pass streams over the table.
+    """
     d, v = g.d, g.values
-    sizes = popcount_table(d)
-    # weight of a coalition of size s not containing j
-    w = np.array([1.0 / (d * math.comb(d - 1, s)) for s in range(d)])
+    # weight of a coalition not containing j, by its size s (s = d never lacks j)
+    by_size = np.array([1.0 / (d * math.comb(d - 1, s)) for s in range(d)] + [0.0])
+    w = by_size[popcount_table(d)]
     payoffs = np.empty(d)
-    masks = np.arange(1 << d)
     for j in range(d):
-        bit = 1 << j
-        without = masks[(masks & bit) == 0]
-        payoffs[j] = np.dot(w[sizes[without]], v[without | bit] - v[without])
+        pairs = v.reshape(-1, 2, 1 << j)
+        gain = pairs[:, 1] - pairs[:, 0]
+        gain *= w.reshape(-1, 2, 1 << j)[:, 0]
+        payoffs[j] = gain.sum()
     return Allocation(payoffs, "shapley")
 
 
@@ -84,8 +89,7 @@ def shapley_permutation(g: Game) -> Allocation:
 def _equal_split(phi: np.ndarray, d: int) -> np.ndarray:
     """Each nonempty coalition's dividend shared equally among its members."""
     share = phi / np.maximum(popcount_table(d), 1)
-    masks = np.arange(1 << d)
-    return np.array([np.sum(share[(masks & (1 << j)) != 0]) for j in range(d)])
+    return np.array([share.reshape(-1, 2, 1 << j)[:, 1].sum() for j in range(d)])
 
 
 def shapley_dividends(g: Game) -> Allocation:

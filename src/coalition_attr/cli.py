@@ -11,11 +11,12 @@ import argparse
 import csv
 import functools
 import io
-import json
+import math
 import os
 import sys
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .allocations import (
@@ -219,6 +220,7 @@ def _allocate(g: Game, args) -> Allocation:
 
 
 def _write_report(report: dict, args) -> None:
+    """The one report writer: CSV, or indented JSON through orjson, as UTF-8."""
     if getattr(args, "format", "json") == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -228,14 +230,14 @@ def _write_report(report: dict, args) -> None:
             if report.get("stderr"):
                 row.append(report["stderr"][i - 1])
             writer.writerow(row)
-        text = buf.getvalue()
+        data = buf.getvalue().encode()
     else:
-        text = json.dumps(report, indent=2) + "\n"
+        data = orjson.dumps(report, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(args.out, "wb") as fh:
+            fh.write(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
 
 
 def cmd_attribute(args) -> int:
@@ -245,6 +247,8 @@ def cmd_attribute(args) -> int:
     alloc = _allocate(target, args)
     allocated = dual_game(target) if args.method == "pme" else target
     gap = efficiency_gap(allocated, alloc)
+    if not math.isfinite(gap):
+        raise CliError(f"efficiency gap {gap} is not finite", EXIT_NUMERICAL)
     tol = EXACT_TOL * magnitude(allocated)
     if args.method in ("shapley", "shapley-perm", "shapley-div", "weber", "harsanyi", "pv") \
             and abs(gap) > tol:
@@ -252,7 +256,7 @@ def cmd_attribute(args) -> int:
     report = {
         "method": alloc.method,
         "players": list(range(1, target.d + 1)),
-        "payoffs": [float(p) for p in alloc.payoffs],
+        "payoffs": alloc.payoffs.tolist(),
         "efficiency_gap": gap,
         "v_empty": target.v_empty,
         "v_full": target.v_full,
@@ -261,7 +265,7 @@ def cmd_attribute(args) -> int:
         "seed": args.seed,
     }
     if alloc.stderr is not None:
-        report["stderr"] = [float(s) for s in alloc.stderr]
+        report["stderr"] = alloc.stderr.tolist()
     _write_report(report, args)
     return EXIT_OK
 
@@ -269,10 +273,13 @@ def cmd_attribute(args) -> int:
 def cmd_dividends(args) -> int:
     g = _load_game(args.game)
     t = dividends_fast(g)
+    checksum = float(np.sum(t.dividends))
+    if not math.isfinite(checksum):
+        raise CliError(f"dividend checksum {checksum} is not finite", EXIT_NUMERICAL)
     report = {
         "d": g.d,
-        "dividends": [float(x) for x in t.dividends],
-        "checksum": float(np.sum(t.dividends)),
+        "dividends": t.dividends.tolist(),
+        "checksum": checksum,
         "v_full": g.v_full,
     }
     _write_report(report, args)
@@ -381,10 +388,17 @@ def cmd_paper_bench(args) -> int:
         all_ok = all_ok and ok
         print(f"{'PASS' if ok else 'FAIL'}  {row['case']:34s} max dev {row['max_dev']:.3e} "
               f"(tol {row['tol']:.0e})")
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"rows": rows, "pass": all_ok}, fh, indent=2)
+    if args.out:
+        _write_report({"rows": rows, "pass": all_ok}, args)
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
+
+
+def seed(text: str) -> int:
+    """--seed: an integer in [0, 2^64), the range of a JSON report's integers."""
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {text}")
+    return value
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -410,7 +424,7 @@ def make_parser() -> argparse.ArgumentParser:
     at.add_argument("--weights", help="weight system JSON")
     at.add_argument("--dag", help="causal DAG JSON")
     at.add_argument("--n", type=int, default=10000, help="Monte Carlo sample count")
-    at.add_argument("--seed", type=int)
+    at.add_argument("--seed", type=seed)
     at.add_argument("--on-dual", action="store_true", help="allocate the dual game")
     at.add_argument("--unnormalized", action="store_true", help="skip variance normalization")
     at.add_argument("--out", help="report path (default stdout)")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game, GameError, popcount_table
+from .games import Game, GameError, coalition_label, popcount_table
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,9 @@ class DividendTable:
         t = np.asarray(self.dividends, dtype=float)
         if t.shape != (1 << self.d,):
             raise GameError(f"expected {1 << self.d} dividends for d={self.d}")
+        if not np.all(np.isfinite(t)):
+            bad = int(np.flatnonzero(~np.isfinite(t))[0])
+            raise GameError(f"non-finite dividend at coalition {coalition_label(bad)}")
         t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "dividends", t)

@@ -147,8 +147,8 @@ class Allocation:
         object.__setattr__(self, "payoffs", p)
         if self.stderr is not None:
             s = np.asarray(self.stderr, dtype=float).copy()
-            if s.shape != p.shape or np.any(s < 0):
-                raise GameError("stderr must be nonnegative and match payoffs")
+            if s.shape != p.shape or not np.all(np.isfinite(s) & (s >= 0)):
+                raise GameError("stderr must be finite, nonnegative and match payoffs")
             s.setflags(write=False)
             object.__setattr__(self, "stderr", s)
 

@@ -30,6 +30,8 @@ class GaussianSpec:
         d = mu.shape[0]
         if S.shape != (d, d):
             raise GameError(f"covariance shape {S.shape} does not match mean length {d}")
+        if not (np.isfinite(mu).all() and np.isfinite(S).all()):
+            raise GameError("non-finite entry in mean or covariance")
         if d and np.max(np.abs(S - S.T)) > SYMMETRY_TOL:
             raise GameError("covariance is not symmetric")
         if d:

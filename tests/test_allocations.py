@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from coalition_attr import (
     weber_allocate,
     weber_monte_carlo,
 )
+from coalition_attr.allocations import _equal_split
+from coalition_attr.games import popcount_table
 from conftest import g3_fixture, random_game, shapley_oracle, unanimity_game
 
 
@@ -49,6 +52,39 @@ def test_shapley_matches_brute_force_oracle():
     for d in range(1, 7):
         g = random_game(d, rng)
         assert np.allclose(shapley_direct(g).payoffs, shapley_oracle(g), atol=1e-12)
+
+
+def _shapley_masked_gather(g: Game) -> np.ndarray:
+    """Reference: the boolean-mask gather over coalitions without each player."""
+    d, v = g.d, g.values
+    sizes = popcount_table(d)
+    w = np.array([1.0 / (d * math.comb(d - 1, s)) for s in range(d)])
+    payoffs = np.empty(d)
+    masks = np.arange(1 << d)
+    for j in range(d):
+        bit = 1 << j
+        without = masks[(masks & bit) == 0]
+        payoffs[j] = np.dot(w[sizes[without]], v[without | bit] - v[without])
+    return payoffs
+
+
+def _equal_split_masked_gather(phi: np.ndarray, d: int) -> np.ndarray:
+    """Reference: each player's shares gathered through a boolean mask."""
+    share = phi / np.maximum(popcount_table(d), 1)
+    masks = np.arange(1 << d)
+    return np.array([np.sum(share[(masks & (1 << j)) != 0]) for j in range(d)])
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+@pytest.mark.parametrize("scale, offset", [(1e-8, 0.0), (1.0, 0.0), (1e9, 0.0), (1.0, 1e8)])
+def test_streaming_routes_match_masked_gathers(d, scale, offset):
+    rng = np.random.default_rng(d)
+    g = Game(d, offset + scale * rng.normal(size=1 << d))
+    tol = 1e-14 * np.max(np.abs(g.values))
+    assert np.max(np.abs(shapley_direct(g).payoffs - _shapley_masked_gather(g))) <= tol
+    phi = g.values - offset  # any table stands in for dividends
+    tol = 1e-14 * np.max(np.abs(phi))
+    assert np.max(np.abs(_equal_split(phi, d) - _equal_split_masked_gather(phi, d))) <= tol
 
 
 def test_shapley_permutation_routes(g2):

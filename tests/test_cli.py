@@ -330,3 +330,109 @@ def test_out_of_range_weight_entries_exit_4(g2_file, tmp_path, capsys):
         assert main(["attribute", "--game", g2_file, "--method", "harsanyi",
                      "--weights", str(w)]) == 4, (player, coalition)
         assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, game, message", [
+    # payoffs 0.9e308 each: their sum and v(D) - v(empty) both overflow
+    (["attribute", "--method", "shapley"], '{"d":2,"values":[-0.9e308,0,0,0.9e308]}',
+     "gap nan is not finite"),
+    (["dividends"], '{"d":2,"values":[0,1.7e308,1.7e308,-1.7e308]}',
+     "non-finite dividend at coalition {1,2}"),
+    (["dividends"], '{"d":2,"values":[0,1.7e308,1.7e308,1.7e308]}',
+     "checksum inf is not finite"),
+    (["attribute", "--method", "weber-mc", "--seed", "1", "--n", "100"],
+     '{"d":3,"values":[0,1e200,-1e200,3e200,1e200,-2e200,0,1e200]}', "stderr must be finite"),
+], ids=["gap", "dividend", "checksum", "stderr"])
+def test_non_finite_report_value_exits_4(tmp_path, capsys, argv, game, message):
+    p = tmp_path / "g.json"
+    p.write_text(game)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([*argv, "--game", str(p)]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
+def _strict_json(text: str):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_every_report_kind_is_strict_json(g2_file, tmp_path, capsys):
+    reports = []
+    for argv in (["attribute", "--game", g2_file, "--method", "shapley", "--seed", "3"],
+                 ["attribute", "--game", g2_file, "--method", "weber-mc", "--seed", "3",
+                  "--n", "50"],
+                 ["dividends", "--game", g2_file],
+                 ["paper-bench"]):
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        reports.append(_strict_json(out.read_text(encoding="utf-8")))
+    capsys.readouterr()
+    assert [list(r) for r in reports] == [
+        ["method", "players", "payoffs", "efficiency_gap", "v_empty", "v_full",
+         "allocated_game", "config", "seed"],
+        ["method", "players", "payoffs", "efficiency_gap", "v_empty", "v_full",
+         "allocated_game", "config", "seed", "stderr"],
+        ["d", "dividends", "checksum", "v_full"],
+        ["rows", "pass"]]
+    assert reports[-1]["pass"] and all(set(r) == {"case", "max_dev", "tol"}
+                                       for r in reports[-1]["rows"])
+
+
+def test_report_floats_round_trip_exactly(tmp_path, capsys):
+    values = [1e-05, 1e16, 5e-324, 0.1, -2.5e-310, 1.7976931348623157e308, 1 / 3, -0.0]
+    g = Game(3, np.array(values))
+    p = tmp_path / "g.json"
+    p.write_text(g.to_json())
+    code, out = run(capsys, "dividends", "--game", str(p))
+    assert code == 0
+    assert _strict_json(out)["dividends"] == cli.dividends_fast(g).dividends.tolist()
+    code, out = run(capsys, "attribute", "--game", str(p), "--method", "shapley-div")
+    assert code == 0
+    assert _strict_json(out)["payoffs"] == cli.shapley_dividends(g).payoffs.tolist()
+
+
+def test_report_is_utf8_without_escapes(tmp_path, capsys):
+    p = tmp_path / "spiel-über.json"
+    p.write_text('{"d":2,"values":[0,1,2,4]}')
+    out = tmp_path / "report.json"
+    assert main(["attribute", "--game", str(p), "--method", "shapley", "--out", str(out)]) == 0
+    raw = out.read_bytes()
+    assert "über".encode() in raw and b"\\u" not in raw
+    assert json.loads(raw)["config"]["game"] == str(p)
+
+
+def _mc_argv(method: str, g2_file: str, gauss3_file: str) -> list[str]:
+    if method == "weber-mc":
+        return ["attribute", "--game", g2_file, "--method", "weber-mc", "--n", "20"]
+    return ["attribute", "--model", "x1 + x2*x3", "--gaussian", gauss3_file, "--x", "1,1,1",
+            "--value-fn", "cond-mc", "--method", "shapley", "--n", "20"]
+
+
+@pytest.mark.parametrize("value", ["-1", str(2**64)])
+@pytest.mark.parametrize("method", ["weber-mc", "cond-mc"])
+def test_seed_outside_64_bits_exits_2(g2_file, gauss3_file, capsys, method, value):
+    assert main([*_mc_argv(method, g2_file, gauss3_file), "--seed", value]) == 2
+    assert "seed must be in [0, 2^64)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["weber-mc", "cond-mc"])
+def test_largest_seed_runs_and_is_echoed(g2_file, gauss3_file, capsys, method):
+    code, out = run(capsys, *_mc_argv(method, g2_file, gauss3_file), "--seed", str(2**64 - 1))
+    assert code == 0
+    assert f'"seed": {2**64 - 1}' in out and _strict_json(out)["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize("spec", ['{"mean":[0,NaN],"cov":[[1,0],[0,1]]}',
+                                  '{"mean":[0,0],"cov":[[NaN,0],[0,1]]}',
+                                  '{"mean":[0,0],"cov":[[1,Infinity],[Infinity,1]]}'],
+                         ids=["nan-mean", "nan-cov", "inf-cov"])
+@pytest.mark.parametrize("value_fn", ["cond-gauss", "cond-mc", "sobol", "sobol-total"])
+def test_non_finite_gaussian_spec_exits_3(tmp_path, capsys, value_fn, spec):
+    p = tmp_path / "spec.json"
+    p.write_text(spec)
+    assert main(["attribute", "--model", "x1+x2", "--gaussian", str(p), "--x", "1,1",
+                 "--value-fn", value_fn, "--method", "shapley", "--n", "10",
+                 "--seed", "1"]) == 3
+    assert "bad Gaussian spec" in capsys.readouterr().err

@@ -2,8 +2,9 @@
 
 Each exact allocation is compared with an independent route: brute-force
 dividend sharing through `WeightSystem.weight` and `dividends_recursive`, or
-the subset recursion of the proportional value. Tolerances are relative to
-the largest worth of the game.
+the subset recursion of the proportional value. The game-theoretic
+invariants (linearity, translation, self-duality, dummy players) are checked
+directly. Tolerances are relative to the largest worth of the game.
 """
 import numpy as np
 from hypothesis import given, settings
@@ -11,12 +12,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from coalition_attr import (
+    Explicit,
     Game,
     WeightSystem,
+    causal_orderings,
     dividends_fast,
     dividends_recursive,
     harsanyi_allocate,
+    dual_game,
     proportional_value,
+    shapley_direct,
+    weber_allocate,
     zeta_reconstruct,
 )
 
@@ -124,3 +130,48 @@ def test_moebius_zeta_round_trip_is_exact_on_integer_worths(vals):
     t = dividends_fast(g)
     assert np.array_equal(t.dividends, dividends_recursive(g).dividends)
     assert np.array_equal(zeta_reconstruct(t).values, g.values)
+
+
+def order_distribution(d: int, seed: int):
+    """An explicit pmf over distinct random orders, or the uniform orders of a
+    random DAG (edgeless: all d! orders)."""
+    rng = np.random.default_rng(seed)
+    if rng.random() < 0.5:
+        orders = {tuple(int(j) for j in rng.permutation(d)) for _ in range(int(rng.integers(1, 6)))}
+        return Explicit(tuple(orders), tuple(rng.dirichlet(np.ones(len(orders)))))
+    edges = [(u, w) for u in range(d) for w in range(u + 1, d) if rng.random() < 0.3]
+    return causal_orderings(d, edges)
+
+
+@core
+@given(games(), games(), st.floats(-3.0, 3.0))
+def test_shapley_is_linear(g, h, a):
+    h = Game(g.d, np.resize(h.values, 1 << g.d))
+    got = shapley_direct(Game(g.d, a * g.values + h.values)).payoffs
+    want = a * shapley_direct(g).payoffs + shapley_direct(h).payoffs
+    assert np.max(np.abs(got - want)) <= _tol(g) * max(1.0, abs(a)) + _tol(h)
+
+
+@core
+@given(games(), games(), st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+def test_exact_weber_is_linear(g, h, a, seed):
+    h = Game(g.d, np.resize(h.values, 1 << g.d))
+    p = order_distribution(g.d, seed)
+    got = weber_allocate(Game(g.d, a * g.values + h.values), p).payoffs
+    want = a * weber_allocate(g, p).payoffs + weber_allocate(h, p).payoffs
+    assert np.max(np.abs(got - want)) <= _tol(g) * max(1.0, abs(a)) + _tol(h)
+
+
+@core
+@given(games(), st.floats(-1.0, 1.0), st.integers(-8, 9))
+def test_shapley_ignores_a_constant_added_to_every_worth(g, c, k):
+    shifted = Game(g.d, g.values + c * 10.0**k)
+    got = shapley_direct(shifted).payoffs
+    assert np.max(np.abs(got - shapley_direct(g).payoffs)) <= _tol(g, shifted)
+
+
+@core
+@given(games())
+def test_shapley_is_self_dual(g):
+    w = dual_game(g)
+    assert np.max(np.abs(shapley_direct(w).payoffs - shapley_direct(g).payoffs)) <= _tol(g, w)
