@@ -5,13 +5,14 @@ effects on the dual game.
 """
 from __future__ import annotations
 
-import json
+import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import orjson
 
 from .dividends import dividends_fast
 from .games import Allocation, Game, GameError, coalition_label, dual_game, layers, popcount_table
@@ -167,9 +168,9 @@ class WeightSystem:
             raise GameError(f"weights on {coalition_label(mask)} sum to {total}, expected 1")
 
     @classmethod
-    def from_json(cls, text: str) -> "WeightSystem":
+    def from_json(cls, text: bytes | str) -> "WeightSystem":
         """Parse {"preset":...} and/or {"entries":[{"player","coalition","w"},...]}."""
-        obj = json.loads(text)
+        obj = orjson.loads(text)
         entries = {
             (int(e["player"]) - 1, int(e["coalition"])): float(e["w"])
             for e in obj.get("entries", [])
@@ -223,8 +224,11 @@ def weber_monte_carlo(
         return m, s, ((mv - s / m) ** 2).sum(axis=0)
 
     if threads > 1:
+        # each chunk runs in a copy of the caller's context, so under its np.errstate
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, range(nchunks)))
+            futures = [pool.submit(contextvars.copy_context().run, run_chunk, k)
+                       for k in range(nchunks)]
+            parts = [f.result() for f in futures]
     else:
         parts = [run_chunk(k) for k in range(nchunks)]
     total = np.zeros(g.d)

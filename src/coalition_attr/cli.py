@@ -67,22 +67,30 @@ def _threads() -> int:
     return int(raw)
 
 
+def _read_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as e:
+        raise CliError(f"cannot read {path}: {e}", EXIT_DATA) from e
+
+
 def _read_file(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as e:
+        return _read_bytes(path).decode()
+    except UnicodeDecodeError as e:
         raise CliError(f"cannot read {path}: {e}", EXIT_DATA) from e
 
 
 def _load_json(path: str, parse, what: str):
-    """Parse a JSON input file; a structurally invalid one is a data error.
+    """Parse a JSON input file from its bytes (orjson checks the UTF-8); a
+    structurally invalid one is a data error.
 
     GameError (a ValueError) passes through, so each caller keeps its own exit
     code for a well-formed input that fails validation.
     """
     try:
-        return parse(_read_file(path))
+        return parse(_read_bytes(path))
     except GameError:
         raise
     except (KeyError, TypeError, AttributeError, ValueError) as e:
@@ -401,6 +409,14 @@ def seed(text: str) -> int:
     return value
 
 
+def sample_count(text: str) -> int:
+    """--n: a Monte Carlo sample count of at least 2, so a standard error exists."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"sample count must be >= 2, got {text}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="coalition-attr",
@@ -423,7 +439,7 @@ def make_parser() -> argparse.ArgumentParser:
     at.add_argument("--pmf", help="explicit random-order pmf JSON")
     at.add_argument("--weights", help="weight system JSON")
     at.add_argument("--dag", help="causal DAG JSON")
-    at.add_argument("--n", type=int, default=10000, help="Monte Carlo sample count")
+    at.add_argument("--n", type=sample_count, default=10000, help="Monte Carlo sample count")
     at.add_argument("--seed", type=seed)
     at.add_argument("--on-dual", action="store_true", help="allocate the dual game")
     at.add_argument("--unnormalized", action="store_true", help="skip variance normalization")
@@ -459,7 +475,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_CONFIG if (e.code or 0) != 0 else EXIT_OK
     try:
-        return args.func(args)
+        # every non-finite result is caught and reported as an exit code, so
+        # numpy's floating-point warnings would only repeat it on stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -5,10 +5,10 @@ is kept as an independent oracle, since the two algorithms share no code.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .games import Game, GameError, coalition_label, popcount_table
 
@@ -32,11 +32,11 @@ class DividendTable:
         object.__setattr__(self, "dividends", t)
 
     def to_json(self) -> str:
-        return json.dumps({"d": self.d, "dividends": list(self.dividends)})
+        return orjson.dumps({"d": self.d, "dividends": self.dividends.tolist()}).decode()
 
     @classmethod
-    def from_json(cls, text: str) -> "DividendTable":
-        obj = json.loads(text)
+    def from_json(cls, text: bytes | str) -> "DividendTable":
+        obj = orjson.loads(text)
         return cls(int(obj["d"]), np.asarray(obj["dividends"], dtype=float))
 
 

@@ -6,15 +6,27 @@ player j belongs to the coalition. Human-facing layers (CLI, reports) use
 """
 from __future__ import annotations
 
-import json
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
+import orjson
 
 DEFAULT_MAX_PLAYERS = 20
 EXACT_TOL = 1e-10
 BUILD_CHUNK = 1024  # the most masks in one block of layers, so in one build_game oracle call
+VALUES_CHUNK = 1 << 16  # bytes of a game file's values array parsed per orjson call
+
+# A game file that is exactly {"d": <scalar>, "values": [...]} or
+# {"values": [...], "d": <scalar>}: the "[" that ends _HEAD opens the top-level
+# values array, and in a flat list of numbers the first "]" after it closes it.
+_HEAD = re.compile(rb'\s*\{\s*(?:"d"\s*:\s*[-+.\w]+\s*,\s*)?"values"\s*:\s*\[')
+_TAIL = re.compile(rb'\]\s*(?:,\s*"d"\s*:\s*[-+.\w]+\s*)?\}\s*')
+# Without brackets, braces or quotes, a JSON value that is not a number is
+# true, false or null.
+_NOT_NUMBERS = (b"[", b"{", b'"', b"t", b"f", b"n")
+_FLAT = '"values" must be a flat list of numbers'
 
 
 class GameError(ValueError):
@@ -117,14 +129,74 @@ class Game:
         return float(self.values[-1])
 
     def to_json(self) -> str:
-        return json.dumps({"d": self.d, "values": list(self.values)})
+        return orjson.dumps({"d": self.d, "values": self.values.tolist()}).decode()
 
     @classmethod
-    def from_json(cls, text: str) -> "Game":
-        obj = json.loads(text)
-        if not isinstance(obj, dict) or "d" not in obj or "values" not in obj:
-            raise GameError('game JSON must be an object with keys "d" and "values"')
-        return cls(int(obj["d"]), np.asarray(obj["values"], dtype=float))
+    def from_json(cls, data: bytes | str) -> "Game":
+        """Read {"d": d, "values": [...]}, where values is a flat list of 2^d
+        JSON numbers, from UTF-8 bytes or text.
+
+        When the document is just those two keys, the values array is parsed
+        in pieces of about VALUES_CHUNK bytes straight into the float64
+        table: no parse tree of the file and no list of 2^d Python floats is
+        built. Any other layout is parsed whole, under the same checks.
+        """
+        if isinstance(data, str):
+            data = data.encode()
+        head = _HEAD.match(data)
+        if head:
+            start = head.end()
+            end = data.find(b"]", start)
+            if end >= 0 and _TAIL.fullmatch(data, end):
+                if any(data.find(c, start, end) >= 0 for c in _NOT_NUMBERS):
+                    raise GameError(_FLAT)
+                d = _player_count(orjson.loads(data[:start] + data[end:]), (end - start) // 2 + 1)
+                return cls(d, _read_numbers(data, start, end, 1 << d))
+        obj = orjson.loads(data)
+        values = obj.get("values", []) if isinstance(obj, dict) else []
+        if type(values) is not list or not all(type(x) in (int, float) for x in values):
+            raise GameError(_FLAT)
+        return cls(_player_count(obj, len(values)), np.asarray(values, dtype=float))
+
+
+def _player_count(obj, room: int) -> int:
+    """d of a parsed game object whose values array holds at most `room`
+    numbers; 2^d is checked against room before any table is allocated."""
+    if not isinstance(obj, dict) or "d" not in obj or "values" not in obj:
+        raise GameError('game JSON must be an object with keys "d" and "values"')
+    d = int(obj["d"])
+    if d < 1:
+        raise GameError(f"player count must be >= 1, got {d}")
+    if d > room.bit_length() or 1 << d > room:
+        raise GameError(f"d={d} needs 2^{d} coalition values; the values array holds <= {room}")
+    return d
+
+
+def _read_numbers(data: bytes, start: int, end: int, n: int) -> np.ndarray:
+    """The n numbers of the comma-separated list data[start:end] as float64,
+    parsed by orjson in pieces of about VALUES_CHUNK bytes cut at commas."""
+    out = np.empty(n)
+    k, pos = 0, start
+    while True:
+        cut = data.find(b",", pos + VALUES_CHUNK, end)
+        if cut < 0:
+            cut = end
+        try:
+            part = orjson.loads(b"[" + data[pos:cut] + b"]")
+        except orjson.JSONDecodeError as e:
+            raise GameError(f"{e.msg} at byte {pos + e.pos - 1} of the game file") from e
+        if not part:
+            raise GameError(f"empty entry in values after {k} numbers")
+        if k + len(part) > n:
+            raise GameError(f"expected {n} coalition values, got more")
+        out[k:k + len(part)] = part
+        k += len(part)
+        if cut == end:
+            break
+        pos = cut + 1
+    if k != n:
+        raise GameError(f"expected {n} coalition values, got {k}")
+    return out
 
 
 @dataclass(frozen=True)

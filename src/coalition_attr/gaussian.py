@@ -6,10 +6,10 @@ vector. These primitives back the analytic game constructions.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .games import GameError, split_masks
 
@@ -53,12 +53,12 @@ class GaussianSpec:
         return self.mean.shape[0]
 
     @classmethod
-    def from_json(cls, text: str) -> "GaussianSpec":
-        obj = json.loads(text)
+    def from_json(cls, text: bytes | str) -> "GaussianSpec":
+        obj = orjson.loads(text)
         return cls(np.asarray(obj["mean"], float), np.asarray(obj["cov"], float))
 
     def to_json(self) -> str:
-        return json.dumps({"mean": list(self.mean), "cov": [list(r) for r in self.cov]})
+        return orjson.dumps({"mean": self.mean.tolist(), "cov": self.cov.tolist()}).decode()
 
 
 # Stacked linear algebra over the trailing axes; leading axes index masks.

@@ -9,12 +9,12 @@ it. Every form samples the same way: `sample(d, rng, m)` draws a whole
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+import orjson
 
 from .games import DEFAULT_MAX_PLAYERS, GameError, layers
 
@@ -65,8 +65,8 @@ class Explicit:
             if pi in seen:
                 raise GameError(f"duplicate ordering {pi}")
             seen.add(pi)
-        if any(p < 0 for p in self.probs):
-            raise GameError("negative probability in pmf")
+        if not all(0 <= p <= 1 for p in self.probs):  # NaN fails too
+            raise GameError("pmf probability outside [0, 1]")
         total = sum(self.probs)
         if abs(total - 1.0) > PMF_TOL:
             raise GameError(f"pmf sums to {total}, expected 1")
@@ -80,9 +80,9 @@ class Explicit:
         return cls((tuple(order),), (1.0,))
 
     @classmethod
-    def from_json(cls, text: str) -> "Explicit":
+    def from_json(cls, text: bytes | str) -> "Explicit":
         """Parse [{"order":[1,2,3],"p":0.5}, ...] with 1-indexed players."""
-        rows = json.loads(text)
+        rows = orjson.loads(text)
         orders = tuple(tuple(int(j) - 1 for j in row["order"]) for row in rows)
         probs = tuple(float(row["p"]) for row in rows)
         return cls(orders, probs)
@@ -224,8 +224,8 @@ def causal_orderings(d: int, edges: Sequence[tuple[int, int]]) -> PartialOrderUn
     return PartialOrderUniform(d, tuple(preds))
 
 
-def causal_orderings_from_json(d: int, text: str) -> PartialOrderUniform:
+def causal_orderings_from_json(d: int, text: bytes | str) -> PartialOrderUniform:
     """Parse {"edges":[[1,2],...]} with 1-indexed players."""
-    obj = json.loads(text)
+    obj = orjson.loads(text)
     edges = [(int(u) - 1, int(v) - 1) for u, v in obj["edges"]]
     return causal_orderings(d, edges)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -436,3 +437,42 @@ def test_non_finite_gaussian_spec_exits_3(tmp_path, capsys, value_fn, spec):
                  "--value-fn", value_fn, "--method", "shapley", "--n", "10",
                  "--seed", "1"]) == 3
     assert "bad Gaussian spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["weber", "weber-mc"])
+def test_nan_pmf_probability_exits_3(g2_file, tmp_path, capsys, method):
+    p = tmp_path / "pmf.json"
+    p.write_text('[{"order":[1,2],"p":NaN},{"order":[2,1],"p":1.0}]')
+    assert main(["attribute", "--game", g2_file, "--method", method, "--pmf", str(p),
+                 "--seed", "1", "--n", "10"]) == 3
+    assert "bad pmf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize("method", ["weber-mc", "cond-mc", "sobol"])
+def test_sample_count_below_2_exits_2(g2_file, gauss3_file, capsys, method, n):
+    if method == "sobol":  # a cubic model has no closed form, so sobol runs Monte Carlo
+        argv = ["attribute", "--model", "x1*x2*x3", "--gaussian", gauss3_file,
+                "--value-fn", "sobol", "--method", "shapley"]
+    else:
+        argv = _mc_argv(method, g2_file, gauss3_file)[:-2]
+    assert main([*argv, "--seed", "1", "--n", n]) == 2
+    assert "sample count must be >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("argv, game", [
+    (["dividends"], '{"d":2,"values":[0,1.7e308,1.7e308,-1.7e308]}'),
+    (["attribute", "--method", "weber-mc", "--seed", "1", "--n", "5000"],
+     '{"d":3,"values":[0,1e200,-1e200,3e200,1e200,-2e200,0,1e200]}'),
+], ids=["dividends", "weber-mc"])
+def test_numerical_exit_prints_no_numpy_warning(tmp_path, capsys, monkeypatch, argv, game,
+                                                threads):
+    monkeypatch.setenv("COALITION_ATTR_THREADS", threads)
+    p = tmp_path / "g.json"
+    p.write_text(game)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning, in any thread, would raise
+        assert main([*argv, "--game", str(p)]) == 4
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err and err.startswith("error: ")

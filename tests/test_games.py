@@ -1,7 +1,12 @@
+import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coalition_attr import (
     Allocation,
@@ -14,6 +19,8 @@ from coalition_attr import (
     mask_of,
     members,
 )
+from coalition_attr import games
+from coalition_attr.cli import main
 from coalition_attr.games import layers
 from conftest import g3_fixture, random_game
 
@@ -136,3 +143,110 @@ def test_game_json_rejects_garbage():
 def test_values_immutable(g2):
     with pytest.raises(ValueError):
         g2.values[0] = 1.0
+
+
+_WS = st.text(alphabet=" \t\n\r", max_size=3)
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+def _number(x) -> st.SearchStrategy[str]:
+    if isinstance(x, int):
+        return st.just(str(x))
+    return st.sampled_from([repr(x), repr(x).upper()])  # 1e-05 and 1E-05
+
+
+@st.composite
+def game_texts(draw):
+    """JSON game texts in the layouts that are read in chunks: "d" before or
+    after "values", any JSON whitespace, and numbers written as repr of float64
+    (subnormals and -0.0 among them), in E notation, or as integers."""
+    d = draw(st.integers(1, 6))
+    numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from(_EDGES), st.integers(-10**20, 10**20))
+    tokens = [draw(numbers.flatmap(_number)) for _ in range(1 << d)]
+
+    def ws() -> str:
+        return draw(_WS)
+
+    body = ",".join(ws() + t + ws() for t in tokens)
+    values = f'"values"{ws()}:{ws()}[{body}]'
+    d_key = f'"d"{ws()}:{ws()}{d}'
+    pair = [d_key, values] if draw(st.booleans()) else [values, d_key]
+    return f"{ws()}{{{ws()}{pair[0]}{ws()},{ws()}{pair[1]}{ws()}}}{ws()}"
+
+
+@given(game_texts(), st.integers(1, 40))
+def test_chunked_read_equals_json_loads_bit_for_bit(text, chunk):
+    want = np.asarray(json.loads(text)["values"], dtype=float)
+    with mock.patch.object(games, "VALUES_CHUNK", chunk):
+        got = Game.from_json(text.encode()).values
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    '{"d":2,"values":[0,1,2,[4]]}',
+    '{"d":2,"values":[[0,1],[2,4]]}',
+    '{"d":2,"values":[0,1,"]",4]}',
+    '{"d":2,"values":[0,1,"2,3",4]}',
+    '{"d":2,"values":[0,1,{"x":2},4]}',
+    '{"d":2,"values":[0,1,true,4]}',
+    '{"d":2,"values":[0,1,null,4]}',
+    '{"d":2,"values":[0,1,2,4',
+    '{"d":2,"values":[0,1,2,',
+    '{"d":2,"values":[0,1,2,4,]}',
+    '{"d":2,"values":[0,1, ,4]}',
+    '{"d":2,"values":[0,1,2]}',
+    '{"d":2,"values":[0,1,2,4,8]}',
+    '{"d":2,"values":[]}',
+    '{"d":60,"values":[0,1,2,4]}',
+    '{"d":-1,"values":[0,1]}',
+    '{"d":0,"values":[0]}',
+    '{"d":2,"values":[0,1,2,4]} x',
+    '{"d":2,"values":[0,1,2,NaN]}',
+    '{"d":2,"values":[0,1,2,1e400]}',
+    '{"meta":0,"d":2,"values":[0,1,true,4]}',
+    '{"meta":0,"d":60,"values":[0,1,2,4]}',
+    '{"values":[0,1,2,4]}',
+    '[0,1,2,4]',
+], ids=lambda text: text)
+@pytest.mark.parametrize("chunk", [1, games.VALUES_CHUNK])
+def test_malformed_game_file_exits_3(tmp_path, capsys, text, chunk):
+    p = tmp_path / "g.json"
+    p.write_text(text)
+    with mock.patch.object(games, "VALUES_CHUNK", chunk):
+        assert main(["attribute", "--game", str(p), "--method", "shapley"]) == 3
+    assert "bad game file" in capsys.readouterr().err
+
+
+def test_game_file_that_is_not_utf8_exits_3(tmp_path, capsys):
+    p = tmp_path / "g.json"
+    p.write_bytes(b'{"d":1,"values":[0,1],"note":"\xff"}')
+    assert main(["attribute", "--game", str(p), "--method", "shapley"]) == 3
+    assert "bad game file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"d":60,"values":[0,1,2,4]}',
+                                  '{"meta":0,"d":60,"values":[0,1,2,4]}'])
+def test_player_count_is_checked_before_the_table_is_allocated(text):
+    with pytest.raises(GameError, match=r"2\^60 coalition values"):
+        Game.from_json(text)
+
+
+def test_nested_values_key_is_parsed_whole():
+    g = Game.from_json(b'{"meta":{"values":[1]},"d":1,"values":[0,5]}')
+    assert g.d == 1 and g.values.tolist() == [0.0, 5.0]
+
+
+def test_read_peaks_near_the_table_size():
+    # the float64 table and Game's own copy: 2 x 2 MiB at d=18; a list of
+    # 2^18 Python floats alone would take about 8 MiB
+    rng = np.random.default_rng(5)
+    data = Game(18, rng.normal(size=1 << 18)).to_json().encode()
+    tracemalloc.start()
+    try:
+        g = Game.from_json(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.values.nbytes == 2 << 20
+    assert peak < 3 * g.values.nbytes

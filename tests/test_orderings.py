@@ -37,6 +37,12 @@ def test_explicit_validation():
         Explicit(((0, 1), (1, 0)), (1.5, -0.5))  # negative
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_explicit_rejects_non_finite_probability(bad):
+    with pytest.raises(GameError, match=r"probability outside \[0, 1\]"):
+        Explicit(((0, 1), (1, 0)), (bad, 1.0))
+
+
 def test_explicit_canonical_order():
     e = Explicit(((1, 0), (0, 1)), (0.25, 0.75))
     assert e.orders == ((0, 1), (1, 0))
