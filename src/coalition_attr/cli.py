@@ -190,11 +190,19 @@ def _require_seed(args):
 
 
 def _order_distribution(d: int, args):
-    """Random-order distribution from --pmf, else --dag, else uniform."""
-    if args.pmf:
-        return _load_json(args.pmf, Explicit.from_json, "pmf")
-    if args.dag:
-        return _load_json(args.dag, lambda text: causal_orderings_from_json(d, text), "DAG")
+    """Random-order distribution from --pmf, else --dag, else uniform; a pmf
+    or DAG file that fails validation is a data error."""
+    try:
+        if args.pmf:
+            pmf = _load_json(args.pmf, Explicit.from_json, "pmf")
+            if len(pmf.orders[0]) != d:
+                raise GameError(f"orders of {len(pmf.orders[0])} players for a {d}-player game")
+            return pmf
+        if args.dag:
+            return _load_json(args.dag, lambda text: causal_orderings_from_json(d, text), "DAG")
+    except GameError as e:
+        what, path = ("pmf", args.pmf) if args.pmf else ("DAG", args.dag)
+        raise CliError(f"bad {what} {path}: {e}", EXIT_DATA) from e
     return Uniform()
 
 

@@ -77,4 +77,4 @@ def dividends_fast(g: Game) -> DividendTable:
 
 def zeta_reconstruct(t: DividendTable) -> Game:
     """Inverse transform: v(A) = sum of dividends over subsets of A."""
-    return Game(t.d, _subset_sums(t.dividends, t.d, np.add))
+    return Game._adopt(t.d, _subset_sums(t.dividends, t.d, np.add))

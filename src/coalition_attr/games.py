@@ -77,12 +77,16 @@ def popcount_table(d: int) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << d))
 
 
-def layers(d: int, block: int = BUILD_CHUNK) -> list[np.ndarray]:
-    """Every mask below 2^d, as int64 blocks of at most `block` masks of one
-    cardinality: layers 0..d in order, masks ascending within each layer."""
-    sizes = popcount_table(d)
+def layers(d: int, block: int = BUILD_CHUNK,
+           masks: Optional[np.ndarray] = None) -> list[np.ndarray]:
+    """The masks to walk (an ascending int64 array; every mask below 2^d by
+    default) as blocks of at most `block` masks of one cardinality: layers
+    0..d in order, masks ascending within each layer."""
+    sizes = popcount_table(d) if masks is None else np.bitwise_count(masks)
     order = np.argsort(sizes, kind="stable")
     starts = np.searchsorted(sizes[order], np.arange(d + 2))
+    if masks is not None:
+        order = masks[order]
     return [order[lo:min(lo + block, starts[k + 1])]
             for k in range(d + 1) for lo in range(starts[k], starts[k + 1], block)]
 
@@ -99,19 +103,18 @@ class Game:
     values: np.ndarray
 
     def __post_init__(self):
-        if not (1 <= self.d):
-            raise GameError(f"player count must be >= 1, got {self.d}")
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (1 << self.d,):
-            raise GameError(
-                f"expected {1 << self.d} coalition values for d={self.d}, got {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            bad = int(np.flatnonzero(~np.isfinite(v))[0])
-            raise GameError(f"non-finite value at coalition {coalition_label(bad)}")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        # a copy, so the caller's array can change without changing the game
+        v = np.array(self.values, dtype=float)
+        object.__setattr__(self, "values", _frozen_table(self.d, v))
+
+    @classmethod
+    def _adopt(cls, d: int, values: np.ndarray) -> "Game":
+        """The game of a fresh float64 table that nothing else holds: the
+        table is frozen in place instead of copied."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "d", d)
+        object.__setattr__(g, "values", _frozen_table(d, values))
+        return g
 
     @property
     def grand(self) -> int:
@@ -151,12 +154,32 @@ class Game:
                 if any(data.find(c, start, end) >= 0 for c in _NOT_NUMBERS):
                     raise GameError(_FLAT)
                 d = _player_count(orjson.loads(data[:start] + data[end:]), (end - start) // 2 + 1)
-                return cls(d, _read_numbers(data, start, end, 1 << d))
+                return cls._adopt(d, _read_numbers(data, start, end, 1 << d))
         obj = orjson.loads(data)
         values = obj.get("values", []) if isinstance(obj, dict) else []
         if type(values) is not list or not all(type(x) in (int, float) for x in values):
             raise GameError(_FLAT)
-        return cls(_player_count(obj, len(values)), np.asarray(values, dtype=float))
+        return cls._adopt(_player_count(obj, len(values)), np.array(values, dtype=float))
+
+
+def _frozen_table(d: int, v: np.ndarray) -> np.ndarray:
+    """v, checked as the finite worths of 2^d coalitions and made read-only."""
+    if not (1 <= d):
+        raise GameError(f"player count must be >= 1, got {d}")
+    if v.shape != (1 << d,):
+        raise GameError(f"expected {1 << d} coalition values for d={d}, got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        bad = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise GameError(f"non-finite value at coalition {coalition_label(bad)}")
+    v.setflags(write=False)
+    return v
+
+
+def json_int(x, what: str) -> int:
+    """x when it is a JSON integer (true and false are not), else GameError."""
+    if type(x) is not int:
+        raise GameError(f"{what} must be an integer, got {orjson.dumps(x).decode()}")
+    return x
 
 
 def _player_count(obj, room: int) -> int:
@@ -164,7 +187,7 @@ def _player_count(obj, room: int) -> int:
     numbers; 2^d is checked against room before any table is allocated."""
     if not isinstance(obj, dict) or "d" not in obj or "values" not in obj:
         raise GameError('game JSON must be an object with keys "d" and "values"')
-    d = int(obj["d"])
+    d = json_int(obj["d"], "player count d")
     if d < 1:
         raise GameError(f"player count must be >= 1, got {d}")
     if d > room.bit_length() or 1 << d > room:
@@ -248,13 +271,13 @@ def build_game(
             m = int(masks[np.argmax(bad)])
             raise GameError(f"oracle returned non-finite value on {coalition_label(m)}")
         values[masks] = worths
-    return Game(d, values)
+    return Game._adopt(d, values)
 
 
 def dual_game(g: Game) -> Game:
     """w(A) = v(D) - v(D \\ A)."""
     # full_mask ^ m runs through masks in reverse index order
-    return Game(g.d, g.values[-1] - g.values[::-1])
+    return Game._adopt(g.d, g.values[-1] - g.values[::-1])
 
 
 def magnitude(g: Game) -> float:

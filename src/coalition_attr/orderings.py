@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 import orjson
 
-from .games import DEFAULT_MAX_PLAYERS, GameError, layers
+from .games import DEFAULT_MAX_PLAYERS, GameError, json_int, layers, members
 
 PMF_TOL = 1e-9
 
@@ -83,7 +83,7 @@ class Explicit:
     def from_json(cls, text: bytes | str) -> "Explicit":
         """Parse [{"order":[1,2,3],"p":0.5}, ...] with 1-indexed players."""
         rows = orjson.loads(text)
-        orders = tuple(tuple(int(j) - 1 for j in row["order"]) for row in rows)
+        orders = tuple(tuple(json_int(j, "pmf player") - 1 for j in row["order"]) for row in rows)
         probs = tuple(float(row["p"]) for row in rows)
         return cls(orders, probs)
 
@@ -105,13 +105,15 @@ class PartialOrderUniform:
     """Uniform distribution over linear extensions of a DAG on players.
 
     pred_masks[j] is the bitmask of players that must precede player j.
-    counts[S] is the number of ways to complete the placed set S, for every
-    mask S below 2^d; a down-set's completions are its linear extensions.
+    counts[S] is the number of ways to complete the placed set S when S is a
+    down-set (it holds every predecessor of its members), and 0 for every
+    other mask below 2^d; a down-set's completions are its linear extensions.
     """
 
     d: int
     pred_masks: tuple[int, ...]
     counts: np.ndarray = field(init=False, repr=False, compare=False)
+    _preds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.pred_masks) != self.d:
@@ -119,22 +121,41 @@ class PartialOrderUniform:
         if self.d > DEFAULT_MAX_PLAYERS:
             # 2^d table entries; int64 counts stay exact up to 20!
             raise GameError(f"partial orders support at most {DEFAULT_MAX_PLAYERS} players")
+        # the blocks come first, so the sort behind them never overlaps the table
+        blocks = layers(self.d, masks=self._down_sets())
         bits = 1 << np.arange(self.d, dtype=np.int64)
         counts = np.zeros(1 << self.d, dtype=np.int64)
         counts[-1] = 1
-        # the grand coalition's block is the last; blocks bound the (masks x d) temporaries
-        for masks in reversed(layers(self.d)[:-1]):
-            above = np.where(self._ready(masks), counts[masks[:, None] | bits], 0)
-            counts[masks] = above.sum(axis=1)
+        # counts[S | j] is 0 unless S | j is a down-set, that is unless j is
+        # ready, and counts[S] itself is still 0 while its block is summed.
+        # The grand coalition's block is the last; blocks bound the
+        # (masks x d) temporaries.
+        for masks in reversed(blocks[:-1]):
+            counts[masks] = counts[masks[:, None] | bits].sum(axis=1)
         if counts[0] == 0:
             raise GameError("cycle detected among the precedence constraints")
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "_preds", np.array(self.pred_masks, dtype=np.int64))
+
+    def _down_sets(self) -> np.ndarray | None:
+        """The down-sets as an ascending int64 array of masks, or None when
+        every mask is one (no constraints)."""
+        if not any(self.pred_masks):
+            return None
+        keep = np.ones(1 << self.d, dtype=bool)
+        for v, preds in enumerate(self.pred_masks):
+            for u in members(preds):
+                # axes 1 and 3 are the bits of max(u, v) and min(u, v): drop
+                # every mask that holds v but not u
+                lo, hi = min(u, v), max(u, v)
+                view = keep.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+                view[:, int(v > u), :, int(v < u)] = False
+        return np.flatnonzero(keep)
 
     def _ready(self, placed: np.ndarray) -> np.ndarray:
         """(len(placed), d) bools: player j is unplaced and all its predecessors are placed."""
         p = placed[:, None]
-        preds = np.array(self.pred_masks, dtype=np.int64)
-        return ((p >> np.arange(self.d)) & 1 == 0) & (preds & ~p == 0)
+        return ((p >> np.arange(self.d)) & 1 == 0) & (self._preds & ~p == 0)
 
     def num_extensions(self) -> int:
         return int(self.counts[0])
@@ -169,7 +190,8 @@ class PartialOrderUniform:
 
         Each step picks player j with probability counts[S | j] / counts[S],
         as the first player whose cumulative weight exceeds a uniform draw;
-        players that are not ready weigh 0 and are never picked.
+        players that are not ready weigh 0 and are never picked. The
+        cumulative weights are built once per distinct placed set S.
         """
         if d != self.d:
             raise GameError("player count mismatch")
@@ -178,10 +200,13 @@ class PartialOrderUniform:
         orders = np.empty((m, d), dtype=np.int64)
         placed = np.zeros(m, dtype=np.int64)
         for t in range(d):
-            weights = np.where(self._ready(placed), self.counts[placed[:, None] | bits], 0)
-            cdf = np.cumsum(weights / self.counts[placed][:, None], axis=1)
+            sets, row = np.unique(placed, return_inverse=True)
+            s = sets[:, None]
+            # counts[S | j] is 0 for an unready j; a placed j would give counts[S]
+            weights = np.where(s & bits == 0, self.counts[s | bits], 0)
+            cdf = np.cumsum(weights / self.counts[s], axis=1)
             cdf /= cdf[:, -1:]
-            orders[:, t] = np.sum(cdf <= u[:, t, None], axis=1)
+            orders[:, t] = np.sum(cdf[row] <= u[:, t, None], axis=1)
             placed |= bits[orders[:, t]]
         return orders
 
@@ -227,5 +252,6 @@ def causal_orderings(d: int, edges: Sequence[tuple[int, int]]) -> PartialOrderUn
 def causal_orderings_from_json(d: int, text: bytes | str) -> PartialOrderUniform:
     """Parse {"edges":[[1,2],...]} with 1-indexed players."""
     obj = orjson.loads(text)
-    edges = [(int(u) - 1, int(v) - 1) for u, v in obj["edges"]]
+    edges = [(json_int(u, "DAG player") - 1, json_int(v, "DAG player") - 1)
+             for u, v in obj["edges"]]
     return causal_orderings(d, edges)

@@ -476,3 +476,39 @@ def test_numerical_exit_prints_no_numpy_warning(tmp_path, capsys, monkeypatch, a
         assert main([*argv, "--game", str(p)]) == 4
     err = capsys.readouterr().err
     assert "RuntimeWarning" not in err and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", [
+    '{"edges":[[1,2],[2,1]]}',  # cycle
+    '{"edges":[[2,2]]}',  # self-loop
+    '{"edges":[[0,1]]}',  # unknown players
+    '{"edges":[[1,9]]}',
+    '{"edges":[[1.9,2]]}',  # not JSON integers
+    '{"edges":[[true,2]]}',
+    '{"edges":[["1",2]]}',
+])
+@pytest.mark.parametrize("method", ["weber", "weber-mc"])
+def test_bad_dag_exits_3(g3_file, tmp_path, capsys, text, method):
+    p = tmp_path / "dag.json"
+    p.write_text(text)
+    assert main(["attribute", "--game", g3_file, "--method", method, "--dag", str(p),
+                 "--seed", "1", "--n", "10"]) == 3
+    assert "bad DAG" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '[{"order":[1,1,2],"p":1.0}]',  # repeated player
+    '[{"order":[1,2,3],"p":0.5},{"order":[3,2,1],"p":0.4}]',  # sums to 0.9
+    '[{"order":[1,2],"p":1.0}]',  # two players for a three-player game
+    '[{"order":[1,2,3,4],"p":1.0}]',
+    '[{"order":[1.2,2,3],"p":1.0}]',  # not JSON integers
+    '[{"order":[1,true,3],"p":1.0}]',
+])
+@pytest.mark.parametrize("method", ["weber", "weber-mc"])
+def test_bad_pmf_exits_3(g3_file, tmp_path, capsys, text, method):
+    p = tmp_path / "pmf.json"
+    p.write_text(text)
+    assert main(["attribute", "--game", g3_file, "--method", method, "--pmf", str(p),
+                 "--seed", "1", "--n", "10"]) == 3
+    assert "bad pmf" in capsys.readouterr().err
+

@@ -19,7 +19,7 @@ from coalition_attr import (
     mask_of,
     members,
 )
-from coalition_attr import games
+from coalition_attr import dividends_fast, games, zeta_reconstruct
 from coalition_attr.cli import main
 from coalition_attr.games import layers
 from conftest import g3_fixture, random_game
@@ -201,6 +201,11 @@ def test_chunked_read_equals_json_loads_bit_for_bit(text, chunk):
     '{"d":60,"values":[0,1,2,4]}',
     '{"d":-1,"values":[0,1]}',
     '{"d":0,"values":[0]}',
+    '{"d":true,"values":[0,1]}',
+    '{"d":1.9,"values":[0,1]}',
+    '{"d":1e0,"values":[0,1]}',
+    '{"d":"1","values":[0,1]}',
+    '{"meta":0,"d":true,"values":[0,1]}',
     '{"d":2,"values":[0,1,2,4]} x',
     '{"d":2,"values":[0,1,2,NaN]}',
     '{"d":2,"values":[0,1,2,1e400]}',
@@ -238,8 +243,8 @@ def test_nested_values_key_is_parsed_whole():
 
 
 def test_read_peaks_near_the_table_size():
-    # the float64 table and Game's own copy: 2 x 2 MiB at d=18; a list of
-    # 2^18 Python floats alone would take about 8 MiB
+    # the float64 table, which Game adopts without a copy: 2 MiB at d=18; a
+    # list of 2^18 Python floats alone would take about 8 MiB
     rng = np.random.default_rng(5)
     data = Game(18, rng.normal(size=1 << 18)).to_json().encode()
     tracemalloc.start()
@@ -249,4 +254,40 @@ def test_read_peaks_near_the_table_size():
     finally:
         tracemalloc.stop()
     assert g.values.nbytes == 2 << 20
-    assert peak < 3 * g.values.nbytes
+    assert peak < 1.5 * g.values.nbytes
+
+
+def test_game_keeps_its_own_copy_of_a_callers_array():
+    a = np.array([0.0, 1.0, 2.0, 4.0])
+    g = Game(2, a)
+    a[:] = 7.0
+    assert g.values.tolist() == [0.0, 1.0, 2.0, 4.0]
+    assert a.flags.writeable
+
+
+@pytest.mark.parametrize("make", ["dual", "zeta"])
+def test_fresh_tables_are_adopted_without_a_copy(make):
+    g = Game(16, np.random.default_rng(2).normal(size=1 << 16))
+    t = dividends_fast(g)
+    tracemalloc.start()
+    try:
+        h = dual_game(g) if make == "dual" else zeta_reconstruct(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not h.values.flags.writeable
+    # the new table alone; a copy of it would double the peak
+    assert peak < 1.5 * h.values.nbytes
+
+
+@pytest.mark.parametrize("block", [1, 5, 1024])
+def test_layers_walk_a_given_mask_set_by_cardinality(block):
+    masks = np.flatnonzero(np.random.default_rng(block).random(1 << 9) < 0.3)
+    blocks = layers(9, block, masks)
+    assert np.array_equal(np.sort(np.concatenate(blocks)), masks)
+    assert all(b.dtype == np.int64 and 1 <= len(b) <= block for b in blocks)
+    sizes = [np.bitwise_count(b) for b in blocks]
+    assert all(np.all(s == s[0]) for s in sizes)
+    assert all(np.all(np.diff(b) > 0) for b in blocks)
+    assert np.all(np.diff([int(s[0]) for s in sizes]) >= 0)
+

@@ -1,8 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalition_attr import (
     Explicit,
@@ -12,6 +15,7 @@ from coalition_attr import (
     Uniform,
     causal_orderings,
 )
+from coalition_attr.games import layers
 
 
 def test_uniform_expand():
@@ -192,3 +196,116 @@ def test_partial_order_rejects_cycles_and_too_many_players():
         PartialOrderUniform(3, (0b100, 0b001, 0b010))
     with pytest.raises(GameError, match="at most 20"):
         PartialOrderUniform(21, (0,) * 21)
+
+
+# References for the down-set walk: the all-mask count table and the per-draw
+# sampler it replaced, kept verbatim apart from taking the DAG as arguments.
+
+def _reference_ready(d, pred_masks, placed):
+    p = placed[:, None]
+    preds = np.array(pred_masks, dtype=np.int64)
+    return ((p >> np.arange(d)) & 1 == 0) & (preds & ~p == 0)
+
+
+def _reference_counts(d, pred_masks):
+    """Completion counts of every mask below 2^d, by a (mask x d) gather walk."""
+    bits = 1 << np.arange(d, dtype=np.int64)
+    counts = np.zeros(1 << d, dtype=np.int64)
+    counts[-1] = 1
+    # the grand coalition's block is the last; blocks bound the (masks x d) temporaries
+    for masks in reversed(layers(d)[:-1]):
+        above = np.where(_reference_ready(d, pred_masks, masks), counts[masks[:, None] | bits], 0)
+        counts[masks] = above.sum(axis=1)
+    return counts
+
+
+def _reference_sample(d, pred_masks, counts, rng, m):
+    """One cdf per draw and step, from the all-mask table."""
+    u = rng.random((m, d))
+    bits = 1 << np.arange(d, dtype=np.int64)
+    orders = np.empty((m, d), dtype=np.int64)
+    placed = np.zeros(m, dtype=np.int64)
+    for t in range(d):
+        weights = np.where(_reference_ready(d, pred_masks, placed),
+                           counts[placed[:, None] | bits], 0)
+        cdf = np.cumsum(weights / counts[placed][:, None], axis=1)
+        cdf /= cdf[:, -1:]
+        orders[:, t] = np.sum(cdf <= u[:, t, None], axis=1)
+        placed |= bits[orders[:, t]]
+    return orders
+
+
+def _is_down_set(d, pred_masks):
+    """Flags over every mask below 2^d: each member's predecessors are in it."""
+    masks = np.arange(1 << d)[:, None]
+    preds = np.array(pred_masks, dtype=np.int64)
+    return np.all(((masks >> np.arange(d)) & 1 == 0) | (preds & ~masks == 0), axis=1)
+
+
+def _dag(kind, d, density, seed):
+    rng = np.random.default_rng(seed)
+    perm = [int(j) for j in rng.permutation(d)]
+    if kind == "edgeless":
+        return []
+    if kind == "chain":
+        return list(zip(perm, perm[1:]))
+    pairs = [(perm[a], perm[b]) for a in range(d) for b in range(a + 1, d)]
+    return [e for e, k in zip(pairs, rng.random(len(pairs)) < density) if k]
+
+
+def _assert_matches_reference(d, edges, seed, m):
+    p = causal_orderings(d, edges)
+    want = _reference_counts(d, p.pred_masks)
+    assert p.num_extensions() == int(want[0])
+    # only the down-sets are counted; the sampler reads nothing else
+    assert np.array_equal(p.counts, np.where(_is_down_set(d, p.pred_masks), want, 0))
+    got = p.sample(d, np.random.default_rng(seed), m)
+    assert np.array_equal(got, _reference_sample(d, p.pred_masks, want,
+                                                 np.random.default_rng(seed), m))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 12), st.sampled_from(["edgeless", "chain", "random"]),
+       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 1500]))
+def test_down_set_walk_matches_the_all_mask_reference(d, kind, density, seed, m):
+    _assert_matches_reference(d, _dag(kind, d, density, seed), seed, m)
+
+
+@pytest.mark.parametrize("d, seed", [(16, 1), (16, 2), (20, 3)])
+def test_down_set_walk_matches_the_reference_with_d_random_edges(d, seed):
+    rng = np.random.default_rng(seed)
+    perm = [int(j) for j in rng.permutation(d)]
+    pairs = [(perm[a], perm[b]) for a in range(d) for b in range(a + 1, d)]
+    edges = [pairs[i] for i in rng.choice(len(pairs), size=d, replace=False)]
+    _assert_matches_reference(d, edges, seed, 1024)
+
+
+@pytest.mark.parametrize("d, edges", [
+    (2, [(0, 1), (1, 0)]),
+    (5, [(0, 1), (1, 2), (2, 3), (3, 1)]),
+    (16, [(j, j + 1) for j in range(15)] + [(15, 0)]),
+    (20, [(3, 17), (17, 9), (9, 3)]),
+])
+def test_cycles_still_raise(d, edges):
+    with pytest.raises(GameError, match="^cycle"):
+        causal_orderings(d, edges)
+
+
+def _peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_table_peaks_below_the_all_mask_walk():
+    rng = np.random.default_rng(4)
+    perm = [int(j) for j in rng.permutation(20)]
+    pairs = [(perm[a], perm[b]) for a in range(20) for b in range(a + 1, 20)]
+    edges = [pairs[i] for i in rng.choice(len(pairs), size=20, replace=False)]
+    # the all-mask walk peaks near 26 MiB at d=20, whatever the DAG
+    reference = _peak(lambda: _reference_counts(20, (0,) * 20))
+    assert _peak(lambda: causal_orderings(20, edges)) < reference / 2
+    assert _peak(lambda: causal_orderings(20, [])) <= reference
