@@ -15,7 +15,8 @@ import numpy as np
 import orjson
 
 from .dividends import dividends_fast
-from .games import Allocation, Game, GameError, coalition_label, dual_game, layers, popcount_table
+from .games import (EXACT_TOL, Allocation, Game, GameError, coalition_label, dual_game, json_int,
+                    json_number, layers, magnitude, popcount_table)
 from .orderings import RandomOrderDistribution, SeededSampler, Uniform
 
 WEIGHT_TOL = 1e-9
@@ -172,7 +173,8 @@ class WeightSystem:
         """Parse {"preset":...} and/or {"entries":[{"player","coalition","w"},...]}."""
         obj = orjson.loads(text)
         entries = {
-            (int(e["player"]) - 1, int(e["coalition"])): float(e["w"])
+            (json_int(e["player"], "weight entry player") - 1,
+             json_int(e["coalition"], "weight entry coalition")): json_number(e["w"], "weight w")
             for e in obj.get("entries", [])
         }
         preset = obj.get("preset", "custom" if entries else "egalitarian")
@@ -241,56 +243,53 @@ def weber_monte_carlo(
     return Allocation(mean, "weber-mc", stderr=np.sqrt(m2 / (n - 1) / n))
 
 
-def proportional_value(g: Game) -> Allocation:
-    """Efficient allocation preserving payoff ratios across subgames.
+def _ratio_potential(d: int, v: np.ndarray) -> np.ndarray:
+    """Payoffs P(D) / P(D\\{i}) of the ratio potential (Ortmann 2000) of the
+    worths v, as the limit eps -> 0 of v + eps on nonempty coalitions (Herin,
+    Il Idrissi, Chabridon & Iooss 2024). By cardinality layer, P(empty) = 1
+    and P(S) = v(S) / sum_{i in S} 1 / P(S\\{i}), carried as its leading term
+    coef[S] * eps^order[S]: a zero worth (a worth <= 0 counts as 0) adds one
+    order, and the inverse sum keeps only its terms of the highest order. So
+    the payoff of i is 0 where the orders of D and D\\{i} differ."""
+    bits = 1 << np.arange(d)
+    coef = np.ones(1 << d)
+    order = np.zeros(1 << d, dtype=np.int64)
+    for masks in layers(d)[1:]:
+        subs = masks ^ bits[:, None]  # row i: each mask with player i's bit flipped
+        orders = np.where((masks & bits[:, None]) != 0, order[subs], -1)
+        top = orders.max(axis=0)
+        inverse_sum = np.zeros(masks.size)
+        for term in np.where(orders == top, 1.0 / coef[subs], 0.0):  # player by player
+            inverse_sum += term
+        zero = v[masks] <= 0
+        coef[masks] = np.where(zero, 1.0, v[masks]) / inverse_sum
+        order[masks] = top + zero
+    rest = (1 << d) - 1 - bits
+    return np.where(order[rest] == order[-1], coef[-1] / coef[rest], 0.0)
 
-    Needs v(A) > 0 on every nonempty coalition. Ratio potential (Ortmann
-    2000), one cardinality layer at a time: P(empty) = 1,
-    P(S) = v(S) / sum_{i in S} 1 / P(S\\{i}), and x_i = P(D) / P(D\\{i}).
-    """
-    d, v = g.d, g.values
-    bad = np.flatnonzero(v[1:] <= 0)
+
+def proportional_value(g: Game) -> Allocation:
+    """Efficient allocation preserving payoff ratios across subgames, by the
+    ratio potential; needs v(A) > 0 on every nonempty coalition."""
+    bad = np.flatnonzero(g.values[1:] <= 0)
     if bad.size:
         mask = int(bad[0]) + 1
         raise GameError(
             f"proportional value needs strictly positive worth; "
-            f"v({coalition_label(mask)}) = {v[mask]}"
+            f"v({coalition_label(mask)}) = {g.values[mask]}"
         )
-    potential = np.ones(1 << d)
-    for masks in layers(d)[1:]:
-        inverse_sum = np.zeros(masks.size)
-        for i in range(d):
-            has_i = (masks & (1 << i)) != 0
-            inverse_sum[has_i] += 1.0 / potential[masks[has_i] ^ (1 << i)]
-        potential[masks] = v[masks] / inverse_sum
-    full = (1 << d) - 1
-    return Allocation(potential[full] / potential[full ^ (1 << np.arange(d))], "proportional")
-
-
-# Epsilon ladder for proportional values on duals with zero coalitions:
-# shift all nonempty worths up by eps and accept once two successive
-# results agree to PME_CONVERGENCE per coordinate.
-PME_EPS_LADDER = tuple(10.0**-k for k in range(2, 9))
-PME_CONVERGENCE = 1e-6
+    return Allocation(_ratio_potential(g.d, g.values), "proportional")
 
 
 def pme(g: Game) -> Allocation:
-    """Proportional marginal effects: proportional value of the dual game."""
+    """Proportional marginal effects: the proportional value of the dual game,
+    taken as its exact limit where dual worths are 0. A dual worth in
+    [-EXACT_TOL * magnitude(dual), 0] is roundoff of a 0 and reads as 0."""
     w = dual_game(g)
-    neg = np.flatnonzero(w.values[1:] < 0)
+    neg = np.flatnonzero(w.values[1:] < -EXACT_TOL * magnitude(w))
     if neg.size:
         raise GameError(
             f"dual worth is negative on {coalition_label(int(neg[0]) + 1)}; "
             "proportional marginal effects are undefined"
         )
-    if np.all(w.values[1:] > 0):
-        return Allocation(proportional_value(w).payoffs, "pme")
-    prev = None
-    for eps in PME_EPS_LADDER:
-        shifted = w.values.copy()
-        shifted[1:] += eps
-        cur = proportional_value(Game(g.d, shifted)).payoffs
-        if prev is not None and np.max(np.abs(cur - prev)) <= PME_CONVERGENCE:
-            return Allocation(cur, "pme")
-        prev = cur
-    raise GameError("epsilon extrapolation for proportional marginal effects did not converge")
+    return Allocation(_ratio_potential(g.d, w.values), "pme")

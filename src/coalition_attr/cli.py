@@ -266,8 +266,8 @@ def cmd_attribute(args) -> int:
     if not math.isfinite(gap):
         raise CliError(f"efficiency gap {gap} is not finite", EXIT_NUMERICAL)
     tol = EXACT_TOL * magnitude(allocated)
-    if args.method in ("shapley", "shapley-perm", "shapley-div", "weber", "harsanyi", "pv") \
-            and abs(gap) > tol:
+    if args.method in ("shapley", "shapley-perm", "shapley-div", "weber", "harsanyi", "pv",
+                       "pme") and abs(gap) > tol:
         raise CliError(f"efficiency gap {gap} exceeds {tol:.3g} for exact method", EXIT_NUMERICAL)
     report = {
         "method": alloc.method,
@@ -391,7 +391,7 @@ def bench_rows() -> list[dict]:
         rows.append({
             "case": f"pme rho={rho}",
             "max_dev": float(np.max(np.abs(p - np.array([0.5, 0.5, 0.0])))),
-            "tol": 1e-4,
+            "tol": 1e-8,
         })
     return rows
 

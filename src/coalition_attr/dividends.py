@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .games import Game, GameError, coalition_label, popcount_table
+from .games import Game, _frozen_table, json_int, popcount_table
 
 
 @dataclass(frozen=True)
@@ -21,15 +21,18 @@ class DividendTable:
     dividends: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.dividends, dtype=float)
-        if t.shape != (1 << self.d,):
-            raise GameError(f"expected {1 << self.d} dividends for d={self.d}")
-        if not np.all(np.isfinite(t)):
-            bad = int(np.flatnonzero(~np.isfinite(t))[0])
-            raise GameError(f"non-finite dividend at coalition {coalition_label(bad)}")
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "dividends", t)
+        # a copy, so the caller's array can change without changing the table
+        t = np.array(self.dividends, dtype=float)
+        object.__setattr__(self, "dividends", _frozen_table(self.d, t, "dividend"))
+
+    @classmethod
+    def _adopt(cls, d: int, dividends: np.ndarray) -> "DividendTable":
+        """The table of a fresh float64 array that nothing else holds: the
+        array is frozen in place instead of copied."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "d", d)
+        object.__setattr__(t, "dividends", _frozen_table(d, dividends, "dividend"))
+        return t
 
     def to_json(self) -> str:
         return orjson.dumps({"d": self.d, "dividends": self.dividends.tolist()}).decode()
@@ -37,7 +40,8 @@ class DividendTable:
     @classmethod
     def from_json(cls, text: bytes | str) -> "DividendTable":
         obj = orjson.loads(text)
-        return cls(int(obj["d"]), np.asarray(obj["dividends"], dtype=float))
+        return cls._adopt(json_int(obj["d"], "player count d"),
+                          np.array(obj["dividends"], dtype=float))
 
 
 def dividends_recursive(g: Game) -> DividendTable:
@@ -56,7 +60,7 @@ def dividends_recursive(g: Game) -> DividendTable:
             acc += phi[sub]
             sub = (sub - 1) & mask
         phi[mask] = g.values[mask] - acc
-    return DividendTable(g.d, phi)
+    return DividendTable._adopt(g.d, phi)
 
 
 def _subset_sums(values: np.ndarray, d: int, op) -> np.ndarray:
@@ -72,7 +76,7 @@ def _subset_sums(values: np.ndarray, d: int, op) -> np.ndarray:
 
 def dividends_fast(g: Game) -> DividendTable:
     """Fast subset Moebius transform, Theta(d 2^d)."""
-    return DividendTable(g.d, _subset_sums(g.values, g.d, np.subtract))
+    return DividendTable._adopt(g.d, _subset_sums(g.values, g.d, np.subtract))
 
 
 def zeta_reconstruct(t: DividendTable) -> Game:

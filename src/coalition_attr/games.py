@@ -162,24 +162,34 @@ class Game:
         return cls._adopt(_player_count(obj, len(values)), np.array(values, dtype=float))
 
 
-def _frozen_table(d: int, v: np.ndarray) -> np.ndarray:
-    """v, checked as the finite worths of 2^d coalitions and made read-only."""
+def _frozen_table(d: int, v: np.ndarray, what: str = "value") -> np.ndarray:
+    """v, checked as the finite worths (or other per-coalition `what`) of
+    2^d coalitions and made read-only."""
     if not (1 <= d):
         raise GameError(f"player count must be >= 1, got {d}")
     if v.shape != (1 << d,):
-        raise GameError(f"expected {1 << d} coalition values for d={d}, got {v.shape}")
+        raise GameError(f"expected {1 << d} coalition {what}s for d={d}, got {v.shape}")
     if not np.all(np.isfinite(v)):
         bad = int(np.flatnonzero(~np.isfinite(v))[0])
-        raise GameError(f"non-finite value at coalition {coalition_label(bad)}")
+        raise GameError(f"non-finite {what} at coalition {coalition_label(bad)}")
     v.setflags(write=False)
     return v
 
 
 def json_int(x, what: str) -> int:
-    """x when it is a JSON integer (true and false are not), else GameError."""
+    """x when it is a JSON integer (true and false are not), else TypeError:
+    a value of the wrong type is a format error, not a bad game."""
     if type(x) is not int:
-        raise GameError(f"{what} must be an integer, got {orjson.dumps(x).decode()}")
+        raise TypeError(f"{what} must be an integer, got {orjson.dumps(x).decode()}")
     return x
+
+
+def json_number(x, what: str) -> float:
+    """x as a float when it is a JSON number (true, false and strings are
+    not), else TypeError."""
+    if type(x) not in (int, float):
+        raise TypeError(f"{what} must be a number, got {orjson.dumps(x).decode()}")
+    return float(x)
 
 
 def _player_count(obj, room: int) -> int:

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 import orjson
 
-from .games import DEFAULT_MAX_PLAYERS, GameError, json_int, layers, members
+from .games import DEFAULT_MAX_PLAYERS, GameError, json_int, json_number, layers, members
 
 PMF_TOL = 1e-9
 
@@ -84,7 +84,7 @@ class Explicit:
         """Parse [{"order":[1,2,3],"p":0.5}, ...] with 1-indexed players."""
         rows = orjson.loads(text)
         orders = tuple(tuple(json_int(j, "pmf player") - 1 for j in row["order"]) for row in rows)
-        probs = tuple(float(row["p"]) for row in rows)
+        probs = tuple(json_number(row["p"], "pmf probability p") for row in rows)
         return cls(orders, probs)
 
     def _orders_for(self, d: int) -> tuple[tuple[int, ...], ...]:

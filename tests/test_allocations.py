@@ -397,7 +397,7 @@ def test_proportional_value_ratio_preservation():
 def test_pme_fixture_values():
     for rho in (0.0, 0.5):
         a = pme(g3_fixture(rho))
-        assert np.allclose(a.payoffs, [0.5, 0.5, 0.0], atol=1e-4)
+        assert np.allclose(a.payoffs, [0.5, 0.5, 0.0], atol=1e-12)
         assert a.method == "pme"
 
 

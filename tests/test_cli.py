@@ -61,6 +61,21 @@ def test_attribute_marginal_value_fn(tmp_path, capsys):
     assert sum(report["payoffs"]) == pytest.approx(2.0, abs=1e-10)
 
 
+def test_pme_reads_a_roundoff_negative_dual_worth_as_zero(tmp_path, capsys):
+    # x8 is not in the model, so the dual worth of {8} is 0, computed as -2.2e-16
+    d = 8
+    spec = tmp_path / "ar8.json"
+    spec.write_text(json.dumps({"mean": [0] * d,
+                                "cov": [[0.6 ** abs(i - j) for j in range(d)] for i in range(d)]}))
+    code, out = run(capsys, "attribute", "--model",
+                    "1*x1 + 2*x2 + 3*x3 + 4*x4 + 5*x5 + 6*x6 + 7*x7 + x1*x2",
+                    "--gaussian", str(spec), "--value-fn", "sobol", "--method", "pme")
+    assert code == 0
+    report = json.loads(out)
+    assert abs(report["efficiency_gap"]) <= 1e-10 * max(1.0, report["v_full"])
+    assert report["payoffs"][7] == 0.0
+
+
 def test_attribute_pme_on_dual(g3_file, capsys):
     code, out = run(capsys, "attribute", "--game", g3_file, "--method", "pme", "--on-dual")
     assert code == 0
@@ -162,6 +177,19 @@ def test_exit_3_on_structurally_invalid_json(g2_file, tmp_path, capsys, option, 
         argv = ["--game", g2_file, "--method", method]
     assert main(["attribute", *argv, option, str(bad)]) == 3
     assert "bad " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, field", [
+    ('{"player":1.9,"coalition":3.5,"w":0.25}', "player"),  # read as player 1 on {1,2}
+    ('{"player":1,"coalition":1,"w":"1"}', "weight w"),
+    ('{"player":1,"coalition":1,"w":true}', "weight w"),
+])
+def test_weight_entry_of_the_wrong_json_type_exits_3(g2_file, tmp_path, capsys, entry, field):
+    w = tmp_path / "w.json"
+    w.write_text('{"entries":[{"player":2,"coalition":2,"w":1},' + entry + "]}")
+    assert main(["attribute", "--game", g2_file, "--method", "harsanyi", "--weights", str(w)]) == 3
+    err = capsys.readouterr().err
+    assert "bad weight system" in err and field in err
 
 
 def test_exit_3_on_undecodable_csv(tmp_path, capsys):
@@ -503,6 +531,8 @@ def test_bad_dag_exits_3(g3_file, tmp_path, capsys, text, method):
     '[{"order":[1,2,3,4],"p":1.0}]',
     '[{"order":[1.2,2,3],"p":1.0}]',  # not JSON integers
     '[{"order":[1,true,3],"p":1.0}]',
+    '[{"order":[1,2,3],"p":"0.5"},{"order":[3,2,1],"p":0.5}]',  # not JSON numbers
+    '[{"order":[1,2,3],"p":true}]',
 ])
 @pytest.mark.parametrize("method", ["weber", "weber-mc"])
 def test_bad_pmf_exits_3(g3_file, tmp_path, capsys, text, method):

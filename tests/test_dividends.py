@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,3 +115,22 @@ def test_sum_identities_random():
 def test_table_json_roundtrip(g2):
     t = dividends_fast(g2)
     assert np.array_equal(DividendTable.from_json(t.to_json()).dividends, t.dividends)
+
+
+def test_fast_dividends_are_adopted_without_a_copy():
+    g = Game(16, np.random.default_rng(3).normal(size=1 << 16))
+    tracemalloc.start()
+    try:
+        t = dividends_fast(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not t.dividends.flags.writeable
+    # the transform's one table; a copy of it would double the peak
+    assert peak < 1.5 * t.dividends.nbytes
+
+
+@pytest.mark.parametrize("d", ["true", "1.9", '"1"'])
+def test_dividend_json_player_count_must_be_an_integer(d):
+    with pytest.raises(TypeError, match="player count d"):
+        DividendTable.from_json('{"d":%s,"dividends":[0,1]}' % d)

@@ -2,10 +2,12 @@
 
 Each exact allocation is compared with an independent route: brute-force
 dividend sharing through `WeightSystem.weight` and `dividends_recursive`, or
-the subset recursion of the proportional value. The game-theoretic
-invariants (linearity, translation, self-duality, dummy players) are checked
-directly. Tolerances are relative to the largest worth of the game, with a
-floor of a few subnormal ulps.
+the subset recursion of the proportional value, or, for proportional
+marginal effects on duals with zero worths, the proportional value of the
+worths shifted by a small epsilon. The game-theoretic invariants (linearity,
+translation, self-duality, dummy players) are checked directly. Tolerances
+are relative to the largest worth of the game, with a floor of a few
+subnormal ulps.
 """
 import numpy as np
 from hypothesis import example, given, settings
@@ -21,11 +23,14 @@ from coalition_attr import (
     dividends_recursive,
     harsanyi_allocate,
     dual_game,
+    efficiency_gap,
+    pme,
     proportional_value,
     shapley_direct,
     weber_allocate,
     zeta_reconstruct,
 )
+from coalition_attr.games import EXACT_TOL, magnitude
 
 REL = 1e-10
 FLOOR = 4 * np.finfo(float).smallest_subnormal
@@ -40,6 +45,25 @@ def games(draw, max_d=6, positive=False):
     lo = 0.01 if positive else -1.0
     vals = draw(hnp.arrays(np.float64, 1 << d, elements=st.floats(lo, 1.0)))
     return Game(d, scale * vals)
+
+
+@st.composite
+def dual_worths(draw, max_d=6, scaled=True):
+    """Nonnegative worths w, w(empty) = 0, with random zeros: the dual of the
+    game dual_game(w), so the game that pme allocates."""
+    d = draw(st.integers(1, max_d))
+    scale = 10.0 ** draw(st.integers(-8, 9)) if scaled else 1.0
+    elements = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    vals = draw(hnp.arrays(np.float64, 1 << d, elements=elements))
+    vals[0] = 0.0
+    return Game(d, scale * vals)
+
+
+def _with_dummy(vals: np.ndarray, i: int) -> np.ndarray:
+    """The worths u(S without i) over one more player: player i adds nothing
+    to any coalition."""
+    low = (1 << i) - 1
+    return np.array([vals[(m & low) | ((m >> 1) & ~low)] for m in range(2 * vals.size)])
 
 
 def _members(mask: int, d: int) -> list[int]:
@@ -90,10 +114,7 @@ def test_harsanyi_is_linear(g, h, a, preset, seed):
 def test_dummy_player_gets_zero_under_every_preset(g, i, preset, seed):
     d = g.d + 1
     i = i % d
-    # v(S) = u(S without i): player i adds nothing to any coalition
-    low = (1 << i) - 1
-    vals = np.array([g.values[(m & low) | ((m >> 1) & ~low)] for m in range(1 << d)])
-    a = harsanyi_allocate(Game(d, vals), weight_system(preset, d, seed))
+    a = harsanyi_allocate(Game(d, _with_dummy(g.values, i)), weight_system(preset, d, seed))
     assert a.payoffs[i] == 0.0
 
 
@@ -123,6 +144,33 @@ def test_proportional_value_is_homogeneous(g, k):
     c = 10.0**k
     got = proportional_value(Game(g.d, c * g.values)).payoffs
     assert np.max(np.abs(got - c * proportional_value(g).payoffs)) <= c * _tol(g)
+
+
+@core
+@given(dual_worths())
+def test_pme_is_efficient_on_duals_with_zero_worths(w):
+    g = dual_game(w)
+    allocated = dual_game(g)
+    assert abs(efficiency_gap(allocated, pme(g))) <= EXACT_TOL * magnitude(allocated)
+
+
+@core
+@given(dual_worths(max_d=5), st.integers(0, 5))
+def test_pme_gives_a_dummy_zero_and_the_others_their_pme_without_it(w, i):
+    i = i % (w.d + 1)
+    got = pme(dual_game(Game(w.d + 1, _with_dummy(w.values, i)))).payoffs
+    assert got[i] == 0.0
+    want = np.insert(pme(dual_game(w)).payoffs, i, 0.0)
+    assert np.max(np.abs(got - want)) <= _tol(w)
+
+
+@core
+@given(dual_worths(max_d=5, scaled=False))
+def test_pme_is_the_limit_of_pv_on_dual_worths_shifted_by_epsilon(w):
+    shifted = w.values + 1e-12
+    shifted[0] = 0.0
+    want = proportional_value(Game(w.d, shifted)).payoffs
+    assert np.max(np.abs(pme(dual_game(w)).payoffs - want)) <= 1e-8 * magnitude(w)
 
 
 @core
