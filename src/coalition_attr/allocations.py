@@ -17,7 +17,7 @@ import orjson
 from .dividends import dividends_fast
 from .games import (EXACT_TOL, Allocation, Game, GameError, coalition_label, dual_game, json_int,
                     json_number, layers, magnitude, popcount_table)
-from .orderings import RandomOrderDistribution, SeededSampler, Uniform
+from .orderings import Explicit, PartialOrderUniform, RandomOrderDistribution, Uniform
 
 WEIGHT_TOL = 1e-9
 
@@ -26,24 +26,26 @@ WEIGHT_TOL = 1e-9
 MC_CHUNK = 1024
 
 
-def shapley_direct(g: Game) -> Allocation:
-    """Coalition-enumeration Shapley: binomially weighted marginal gains.
-
-    For each player j, the view of shape (-1, 2, 2^j) pairs every coalition
-    without j (middle index 0) with its union with j (middle index 1), as in
-    `dividends._subset_sums`, so each pass streams over the table.
-    """
-    d, v = g.d, g.values
-    # weight of a coalition not containing j, by its size s (s = d never lacks j)
-    by_size = np.array([1.0 / (d * math.comb(d - 1, s)) for s in range(d)] + [0.0])
-    w = by_size[popcount_table(d)]
-    payoffs = np.empty(d)
-    for j in range(d):
-        pairs = v.reshape(-1, 2, 1 << j)
+def _marginal_pass(g: Game, before: np.ndarray, after: np.ndarray | None = None) -> np.ndarray:
+    """Per player j, the sum over S without j of before[S] after[S | j] (v(S | j) - v(S)),
+    with after = 1 if omitted. The view (-1, 2, 2^j) pairs each S (middle index 0)
+    with S | j (index 1), as in `dividends._subset_sums`: one pass per player."""
+    payoffs = np.empty(g.d)
+    for j in range(g.d):
+        pairs = g.values.reshape(-1, 2, 1 << j)
         gain = pairs[:, 1] - pairs[:, 0]
-        gain *= w.reshape(-1, 2, 1 << j)[:, 0]
+        gain *= before.reshape(-1, 2, 1 << j)[:, 0]
+        if after is not None:
+            gain *= after.reshape(-1, 2, 1 << j)[:, 1]
         payoffs[j] = gain.sum()
-    return Allocation(payoffs, "shapley")
+    return payoffs
+
+
+def shapley_direct(g: Game) -> Allocation:
+    """Coalition-enumeration Shapley: S without j weighs |S|! (d - |S| - 1)! / d!."""
+    # weight by size s (s = d never lacks j)
+    by_size = np.array([1.0 / (g.d * math.comb(g.d - 1, s)) for s in range(g.d)] + [0.0])
+    return Allocation(_marginal_pass(g, by_size[popcount_table(g.d)]), "shapley")
 
 
 def marginal_vector(g: Game, order: Sequence[int]) -> np.ndarray:
@@ -72,20 +74,24 @@ def _batch_marginals(g: Game, orders: np.ndarray) -> np.ndarray:
 
 
 def weber_allocate(g: Game, p: RandomOrderDistribution) -> Allocation:
-    """Exact expected marginal contribution under a finite-support pmf."""
-    if isinstance(p, SeededSampler):
+    """Exact expected marginal contribution: a listed pmf averages its orders; uniform
+    orders are Shapley's, and a DAG's weigh S without j by f(S) c(S | j) / c(empty)."""
+    if isinstance(p, Explicit):
+        orders, probs = p.expand(g.d)
+        return Allocation(probs @ _batch_marginals(g, orders), "weber")
+    if isinstance(p, Uniform):
+        return Allocation(shapley_direct(g).payoffs, "weber")
+    if not isinstance(p, PartialOrderUniform):
         raise GameError("opaque samplers cannot be expanded; use weber_monte_carlo")
-    pairs = p.expand(g.d)
-    orders = np.array([o for o, _ in pairs], dtype=np.int64)
-    probs = np.array([q for _, q in pairs])
-    payoffs = probs @ _batch_marginals(g, orders)
-    return Allocation(payoffs, "weber")
+    if p.d != g.d:
+        raise GameError("player count mismatch")
+    return Allocation(_marginal_pass(g, p.reach_counts() / p.counts[0], p.counts), "weber")
 
 
 def shapley_permutation(g: Game) -> Allocation:
     """Ordering-enumeration Shapley: uniform average over all d! orderings."""
-    a = weber_allocate(g, Uniform())
-    return Allocation(a.payoffs, "shapley-perm")
+    orders, probs = Uniform().expand(g.d)
+    return Allocation(probs @ _batch_marginals(g, orders), "shapley-perm")
 
 
 def _equal_split(phi: np.ndarray, d: int) -> np.ndarray:
@@ -178,6 +184,8 @@ class WeightSystem:
             for e in obj.get("entries", [])
         }
         preset = obj.get("preset", "custom" if entries else "egalitarian")
+        if type(preset) is not str:
+            raise TypeError(f"weight preset must be a string, got {orjson.dumps(preset).decode()}")
         return cls(preset, entries)
 
 

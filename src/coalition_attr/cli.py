@@ -125,9 +125,12 @@ def _load_csv_matrix(path: str) -> np.ndarray:
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(c) for c in text.split(",")])
+        x = np.array([float(c) for c in text.split(",")])
     except ValueError as e:
         raise CliError(f"bad vector {text!r}: {e}", EXIT_CONFIG) from e
+    if not np.all(np.isfinite(x)):
+        raise CliError(f"bad vector {text!r}: entries must be finite", EXIT_CONFIG)
+    return x
 
 
 def _build_game(args) -> tuple[Game, dict]:
@@ -307,10 +310,10 @@ def verify_game(g: Game, seed: int = 0, _corrupt_dividends: bool = False) -> lis
     rng = np.random.default_rng(seed)
     checks: list[tuple[str, bool]] = []
 
-    routes = [shapley_direct(g), shapley_dividends(g), harsanyi_allocate(g, WeightSystem())]
+    # exact uniform Weber and egalitarian Harsanyi run these two routes' code
+    routes = [shapley_direct(g), shapley_dividends(g)]
     if g.d <= Uniform.MAX_EXACT_PLAYERS:
         routes.append(shapley_permutation(g))
-        routes.append(weber_allocate(g, Uniform()))
     base = routes[0].payoffs
     scale = magnitude(g)
     tol = EXACT_TOL * scale
@@ -339,9 +342,9 @@ def verify_game(g: Game, seed: int = 0, _corrupt_dividends: bool = False) -> lis
     checks.append(("telescoping along random orderings", ok))
 
     for label, alloc in [
-        ("egalitarian dividends", harsanyi_allocate(g, WeightSystem("egalitarian"))),
+        ("egalitarian dividends", routes[1]),
         ("min-owner dividends", harsanyi_allocate(g, WeightSystem("min-owner"))),
-        ("uniform random orders", shapley_direct(g)),
+        ("uniform random orders", routes[0]),
     ]:
         checks.append((f"efficiency: {label}", abs(efficiency_gap(g, alloc)) <= tol))
     return checks

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .games import Game, _frozen_table, json_int, popcount_table
+from .games import Game, _frozen_table, json_int, json_numbers, popcount_table
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class DividendTable:
     def from_json(cls, text: bytes | str) -> "DividendTable":
         obj = orjson.loads(text)
         return cls._adopt(json_int(obj["d"], "player count d"),
-                          np.array(obj["dividends"], dtype=float))
+                          json_numbers(obj["dividends"], "dividends"))
 
 
 def dividends_recursive(g: Game) -> DividendTable:

@@ -26,7 +26,7 @@ _TAIL = re.compile(rb'\]\s*(?:,\s*"d"\s*:\s*[-+.\w]+\s*)?\}\s*')
 # Without brackets, braces or quotes, a JSON value that is not a number is
 # true, false or null.
 _NOT_NUMBERS = (b"[", b"{", b'"', b"t", b"f", b"n")
-_FLAT = '"values" must be a flat list of numbers'
+_FLAT = '"{}" must be a flat list of numbers'
 
 
 class GameError(ValueError):
@@ -152,14 +152,12 @@ class Game:
             end = data.find(b"]", start)
             if end >= 0 and _TAIL.fullmatch(data, end):
                 if any(data.find(c, start, end) >= 0 for c in _NOT_NUMBERS):
-                    raise GameError(_FLAT)
+                    raise GameError(_FLAT.format("values"))
                 d = _player_count(orjson.loads(data[:start] + data[end:]), (end - start) // 2 + 1)
                 return cls._adopt(d, _read_numbers(data, start, end, 1 << d))
         obj = orjson.loads(data)
-        values = obj.get("values", []) if isinstance(obj, dict) else []
-        if type(values) is not list or not all(type(x) in (int, float) for x in values):
-            raise GameError(_FLAT)
-        return cls._adopt(_player_count(obj, len(values)), np.array(values, dtype=float))
+        values = json_numbers(obj.get("values", []) if isinstance(obj, dict) else [], "values")
+        return cls._adopt(_player_count(obj, len(values)), values)
 
 
 def _frozen_table(d: int, v: np.ndarray, what: str = "value") -> np.ndarray:
@@ -190,6 +188,14 @@ def json_number(x, what: str) -> float:
     if type(x) not in (int, float):
         raise TypeError(f"{what} must be a number, got {orjson.dumps(x).decode()}")
     return float(x)
+
+
+def json_numbers(xs, key: str) -> np.ndarray:
+    """xs as a float64 array when it is a flat JSON list of numbers (true,
+    false and strings are not), else GameError naming the key."""
+    if type(xs) is not list or not all(type(x) in (int, float) for x in xs):
+        raise GameError(_FLAT.format(key))
+    return np.array(xs, dtype=float)
 
 
 def _player_count(obj, room: int) -> int:

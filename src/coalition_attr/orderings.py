@@ -2,9 +2,9 @@
 
 Four forms: uniform over all d! orderings, an explicit pmf, uniform over
 the linear extensions of a partial order (causal constraints), and an
-opaque seeded sampler. Exact expansion is provided where a form supports
-it. Every form samples the same way: `sample(d, rng, m)` draws a whole
-(m, d) array of orders from one seeded stream.
+opaque seeded sampler. `expand(d)` lists a support as an (orders, probs)
+array pair. Every form samples the same way: `sample(d, rng, m)` draws a
+whole (m, d) array of orders from one seeded stream.
 """
 from __future__ import annotations
 
@@ -20,12 +20,9 @@ from .games import DEFAULT_MAX_PLAYERS, GameError, json_int, json_number, layers
 
 PMF_TOL = 1e-9
 
-# Exact expansion refuses beyond this many orderings (10!).
-MAX_ENUMERATION = math.factorial(10)
-
 
 class SupportTooLargeError(GameError):
-    """Raised when exact expansion would enumerate too many orderings."""
+    """Raised when Uniform.expand would list more than 8! orderings."""
 
 
 @dataclass(frozen=True)
@@ -34,14 +31,12 @@ class Uniform:
 
     MAX_EXACT_PLAYERS = 8
 
-    def expand(self, d: int) -> list[tuple[tuple[int, ...], float]]:
+    def expand(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         if d > self.MAX_EXACT_PLAYERS:
-            raise SupportTooLargeError(
-                f"uniform expansion of {d}! orderings is too large; "
-                "use the Monte Carlo estimator instead"
-            )
-        p = 1.0 / math.factorial(d)
-        return [(pi, p) for pi in itertools.permutations(range(d))]
+            raise SupportTooLargeError(f"uniform expansion of {d}! orderings is too large; "
+                                       "use the Monte Carlo estimator instead")
+        orders = np.array(list(itertools.permutations(range(d))), dtype=np.int64)
+        return orders, np.full(len(orders), 1.0 / math.factorial(d))
 
     def sample(self, d: int, rng: np.random.Generator, m: int) -> np.ndarray:
         return rng.permuted(np.tile(np.arange(d), (m, 1)), axis=1)
@@ -87,17 +82,14 @@ class Explicit:
         probs = tuple(json_number(row["p"], "pmf probability p") for row in rows)
         return cls(orders, probs)
 
-    def _orders_for(self, d: int) -> tuple[tuple[int, ...], ...]:
+    def expand(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         if len(self.orders[0]) != d:
             raise GameError("pmf ordering length does not match player count")
-        return self.orders
-
-    def expand(self, d: int) -> list[tuple[tuple[int, ...], float]]:
-        return list(zip(self._orders_for(d), self.probs))
+        return np.array(self.orders, dtype=np.int64), np.array(self.probs)
 
     def sample(self, d: int, rng: np.random.Generator, m: int) -> np.ndarray:
-        orders = np.array(self._orders_for(d), dtype=np.int64)
-        return orders[rng.choice(len(orders), size=m, p=np.asarray(self.probs))]
+        orders, probs = self.expand(d)
+        return orders[rng.choice(len(orders), size=m, p=probs)]
 
 
 @dataclass(frozen=True)
@@ -173,17 +165,18 @@ class PartialOrderUniform:
             placed = placed[rows] | (1 << players)
         yield from map(tuple, orders.tolist())
 
-    def expand(self, d: int) -> list[tuple[tuple[int, ...], float]]:
+    def reach_counts(self) -> np.ndarray:
+        """f[S], the orders of S that respect the DAG (0 unless S is a down-set):
+        reversed, they complete D\\S in the reversed DAG, so read its counts[D\\S]."""
+        edges = [(v, u) for v, preds in enumerate(self.pred_masks) for u in members(preds)]
+        return causal_orderings(self.d, edges).counts[::-1]
+
+    def expand(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every linear extension, with probability 1/count: the Weber oracle."""
         if d != self.d:
             raise GameError("player count mismatch")
-        n = self.num_extensions()
-        if n > MAX_ENUMERATION:
-            raise SupportTooLargeError(
-                f"{n} linear extensions is too many to enumerate; "
-                "use the Monte Carlo estimator instead"
-            )
-        p = 1.0 / n
-        return [(pi, p) for pi in self.enumerate_extensions()]
+        orders = np.array(list(self.enumerate_extensions()), dtype=np.int64).reshape(-1, d)
+        return orders, np.full(len(orders), 1.0 / len(orders))
 
     def sample(self, d: int, rng: np.random.Generator, m: int) -> np.ndarray:
         """Draw m orders uniformly, walking the down-set lattice in lock-step.

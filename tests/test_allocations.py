@@ -9,7 +9,6 @@ from coalition_attr import (
     Game,
     GameError,
     SeededSampler,
-    SupportTooLargeError,
     Uniform,
     WeightSystem,
     causal_orderings,
@@ -159,11 +158,15 @@ def test_weber_rejects_sampler():
         weber_allocate(Game(2, np.zeros(4)), SeededSampler(2, lambda rng: (0, 1)))
 
 
-def test_weber_too_large_directs_to_mc():
-    rng = np.random.default_rng(26)
-    g = random_game(9, rng)
-    with pytest.raises(SupportTooLargeError, match="Monte Carlo"):
-        weber_allocate(g, Uniform())
+@pytest.mark.parametrize("d", [9, 10, 11, 12])
+def test_weber_uniform_beyond_enumeration_is_shapley_bit_for_bit(d):
+    g = random_game(d, np.random.default_rng(26 + d))
+    assert np.array_equal(weber_allocate(g, Uniform()).payoffs, shapley_direct(g).payoffs)
+
+
+def test_weber_dag_player_count_mismatch():
+    with pytest.raises(GameError, match="player count mismatch"):
+        weber_allocate(random_game(3, np.random.default_rng(0)), causal_orderings(4, [(0, 1)]))
 
 
 def test_weber_efficiency_arbitrary_pmf():

@@ -139,6 +139,21 @@ def test_attribute_dag_file(g3_file, tmp_path, capsys):
     assert report["efficiency_gap"] == pytest.approx(0.0, abs=1e-10)
 
 
+def test_attribute_dag_beyond_enumeration(tmp_path, capsys):
+    # a chain of 4 edges leaves 12!/5! = 3.99e6 orders, more than 10!; the
+    # exact values never list them
+    g = tmp_path / "g12.json"
+    g.write_text(Game(12, np.random.default_rng(12).normal(size=1 << 12)).to_json())
+    dag = tmp_path / "chain.json"
+    dag.write_text('{"edges":[[1,2],[2,3],[3,4],[4,5]]}')
+    code, out = run(capsys, "attribute", "--game", str(g), "--method", "weber",
+                    "--dag", str(dag))
+    assert code == 0
+    report = json.loads(out)
+    assert abs(report["efficiency_gap"]) <= 1e-12
+    assert abs(sum(report["payoffs"]) - (report["v_full"] - report["v_empty"])) <= 1e-12
+
+
 # exit-code contract
 
 def test_exit_2_on_config_errors(g2_file, capsys):
@@ -190,6 +205,34 @@ def test_weight_entry_of_the_wrong_json_type_exits_3(g2_file, tmp_path, capsys, 
     assert main(["attribute", "--game", g2_file, "--method", "harsanyi", "--weights", str(w)]) == 3
     err = capsys.readouterr().err
     assert "bad weight system" in err and field in err
+
+
+@pytest.mark.parametrize("preset", ["5", '["custom"]', "null"])
+def test_weight_preset_of_the_wrong_json_type_exits_3(g2_file, tmp_path, capsys, preset):
+    w = tmp_path / "w.json"
+    w.write_text('{"preset":' + preset + "}")
+    assert main(["attribute", "--game", g2_file, "--method", "harsanyi", "--weights", str(w)]) == 3
+    err = capsys.readouterr().err
+    assert "bad weight system" in err and "weight preset must be a string" in err
+
+
+def test_unknown_weight_preset_exits_4(g2_file, tmp_path, capsys):
+    w = tmp_path / "w.json"
+    w.write_text('{"preset":"fair"}')
+    assert main(["attribute", "--game", g2_file, "--method", "harsanyi", "--weights", str(w)]) == 4
+    assert "unknown weight preset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x", ["nan,1", "inf,1", "1,-inf"])
+@pytest.mark.parametrize("value_fn", ["cond-gauss", "marginal", "sobol"])
+def test_non_finite_instance_exits_2(tmp_path, capsys, value_fn, x):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"mean":[0,0],"cov":[[1,0],[0,1]]}')
+    data = tmp_path / "bg.csv"
+    data.write_text("0,0\n2,2\n")
+    assert main(["attribute", "--model", "x1+x2", f"--x={x}", "--value-fn", value_fn,
+                 "--gaussian", str(spec), "--data", str(data), "--method", "shapley"]) == 2
+    assert f"bad vector '{x}'" in capsys.readouterr().err
 
 
 def test_exit_3_on_undecodable_csv(tmp_path, capsys):

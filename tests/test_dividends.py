@@ -6,6 +6,7 @@ import pytest
 from coalition_attr import (
     DividendTable,
     Game,
+    GameError,
     dividends_fast,
     dividends_recursive,
     zeta_reconstruct,
@@ -134,3 +135,10 @@ def test_fast_dividends_are_adopted_without_a_copy():
 def test_dividend_json_player_count_must_be_an_integer(d):
     with pytest.raises(TypeError, match="player count d"):
         DividendTable.from_json('{"d":%s,"dividends":[0,1]}' % d)
+
+
+@pytest.mark.parametrize("dividends", ['["1",true]', "[1,false]", '[1,"2"]', "[[1],2]",
+                                       "[1,null]", '"12"'])
+def test_dividend_json_entries_must_be_numbers(dividends):
+    with pytest.raises(GameError, match='"dividends" must be a flat list of numbers'):
+        DividendTable.from_json('{"d":1,"dividends":%s}' % dividends)

@@ -19,10 +19,10 @@ from coalition_attr.games import layers
 
 
 def test_uniform_expand():
-    pairs = Uniform().expand(3)
-    assert len(pairs) == 6
-    assert all(p == pytest.approx(1 / 6) for _, p in pairs)
-    assert {o for o, _ in pairs} == set(itertools.permutations(range(3)))
+    orders, probs = Uniform().expand(3)
+    assert orders.shape == (6, 3) and probs.shape == (6,)
+    assert np.allclose(probs, 1 / 6) and probs.sum() == pytest.approx(1.0)
+    assert set(map(tuple, orders.tolist())) == set(itertools.permutations(range(3)))
 
 
 def test_uniform_expand_too_large():
@@ -108,9 +108,22 @@ def test_partial_order_sampling_is_uniform():
 
 def test_expand_matches_counts():
     p = causal_orderings(5, [(0, 2), (1, 2), (2, 3)])
-    pairs = p.expand(5)
-    assert len(pairs) == p.num_extensions()
-    assert sum(q for _, q in pairs) == pytest.approx(1.0)
+    orders, probs = p.expand(5)
+    assert orders.shape == (p.num_extensions(), 5) and probs.shape == (p.num_extensions(),)
+    assert probs.sum() == pytest.approx(1.0)
+    assert list(map(tuple, orders.tolist())) == list(p.enumerate_extensions())
+
+
+def test_reach_counts_are_the_orders_of_each_down_set():
+    p = causal_orderings(4, [(0, 1), (0, 2), (2, 3)])
+    f = p.reach_counts()
+    for mask in range(16):
+        sub = [j for j in range(4) if (mask >> j) & 1]
+        down_set = all(p.pred_masks[j] & ~mask == 0 for j in sub)
+        respecting = sum(all(pi.index(u) < pi.index(v) for u in sub for v in sub
+                             if (p.pred_masks[v] >> u) & 1)
+                         for pi in itertools.permutations(sub))
+        assert f[mask] == (respecting if down_set else 0)
 
 
 def test_partial_order_validation():

@@ -24,6 +24,7 @@ from coalition_attr import (
     harsanyi_allocate,
     dual_game,
     efficiency_gap,
+    marginal_vector,
     pme,
     proportional_value,
     shapley_direct,
@@ -193,6 +194,49 @@ def order_distribution(d: int, seed: int):
         return Explicit(tuple(orders), tuple(rng.dirichlet(np.ones(len(orders)))))
     edges = [(u, w) for u in range(d) for w in range(u + 1, d) if rng.random() < 0.3]
     return causal_orderings(d, edges)
+
+
+@st.composite
+def dag_games(draw, max_d=7):
+    """A game and the uniform orders of a random DAG on its players, with
+    edges along a random order of them."""
+    g = draw(games(max_d))
+    perm = draw(st.permutations(range(g.d)))
+    pairs = [(perm[a], perm[b]) for a in range(g.d) for b in range(a + 1, g.d)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return g, causal_orderings(g.d, edges)
+
+
+@core
+@given(dag_games())
+def test_dag_weber_table_pass_matches_enumeration(gp):
+    g, p = gp
+    orders, probs = p.expand(g.d)
+    want = probs @ np.array([marginal_vector(g, o) for o in orders])
+    got = weber_allocate(g, p)
+    assert np.max(np.abs(got.payoffs - want)) <= 1e-12 * magnitude(g)
+    assert abs(efficiency_gap(g, got)) <= EXACT_TOL * magnitude(g)
+
+
+@core
+@given(dag_games(max_d=6), st.data())
+def test_dag_weber_gives_a_dummy_exactly_zero(gp, data):
+    g, p = gp
+    i = data.draw(st.integers(0, g.d))
+    edges = [(u + (u >= i), v + (v >= i)) for v in range(g.d) for u in range(g.d)
+             if (p.pred_masks[v] >> u) & 1]
+    # the dummy joins the DAG as a random player's predecessor or successor
+    j = data.draw(st.integers(0, g.d - 1))
+    edges.append((i, j + (j >= i)) if data.draw(st.booleans()) else (j + (j >= i), i))
+    a = weber_allocate(Game(g.d + 1, _with_dummy(g.values, i)), causal_orderings(g.d + 1, edges))
+    assert a.payoffs[i] == 0.0
+
+
+@core
+@given(games(max_d=7))
+def test_edgeless_dag_weber_is_shapley(g):
+    got = weber_allocate(g, causal_orderings(g.d, [])).payoffs
+    assert np.max(np.abs(got - shapley_direct(g).payoffs)) <= 1e-12 * magnitude(g)
 
 
 @core
