@@ -258,7 +258,15 @@ def _ratio_potential(d: int, v: np.ndarray) -> np.ndarray:
     and P(S) = v(S) / sum_{i in S} 1 / P(S\\{i}), carried as its leading term
     coef[S] * eps^order[S]: a zero worth (a worth <= 0 counts as 0) adds one
     order, and the inverse sum keeps only its terms of the highest order. So
-    the payoff of i is 0 where the orders of D and D\\{i} differ."""
+    the payoff of i is 0 where the orders of D and D\\{i} differ.
+
+    P(S) is homogeneous of degree |S| in v, so the walk would under- or
+    overflow at large d far from unit scale. It runs on v * 2^-k instead,
+    with k the binary exponent of max |v|, and scales the payoffs back by
+    2^k. Both are exact powers of two, so wherever the walk on v itself stays
+    in range the payoffs are the same bit for bit."""
+    k = int(np.frexp(np.max(np.abs(v)))[1])
+    v = np.ldexp(v, -k)
     bits = 1 << np.arange(d)
     coef = np.ones(1 << d)
     order = np.zeros(1 << d, dtype=np.int64)
@@ -273,7 +281,7 @@ def _ratio_potential(d: int, v: np.ndarray) -> np.ndarray:
         coef[masks] = np.where(zero, 1.0, v[masks]) / inverse_sum
         order[masks] = top + zero
     rest = (1 << d) - 1 - bits
-    return np.where(order[rest] == order[-1], coef[-1] / coef[rest], 0.0)
+    return np.ldexp(np.where(order[rest] == order[-1], coef[-1] / coef[rest], 0.0), k)
 
 
 def proportional_value(g: Game) -> Allocation:

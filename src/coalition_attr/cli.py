@@ -364,19 +364,18 @@ def bench_rows() -> list[dict]:
     """Compare computed allocations to the bundled closed-form references."""
     rows = []
     # prediction-decomposition example: f = x1 + x2 + x1*x2, correlated pair
+    grid = [(x1, x2) for x1 in (-2.0, -1.0, 0.0, 1.0, 2.0) for x2 in (-2.0, -1.0, 0.0, 1.0, 2.0)]
     for rho in (-0.9, -0.5, 0.0, 0.5, 0.9):
         spec = GaussianSpec(np.zeros(2), np.array([[1.0, rho], [rho, 1.0]]))
         model = Model.from_expression("x1 + x2 + x1*x2", 2)
         worst = 0.0
-        for x1 in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            for x2 in (-2.0, -1.0, 0.0, 1.0, 2.0):
-                g = conditional_gaussian_game(model, spec, np.array([x1, x2]))
-                got = shapley_direct(g).payoffs
-                want = np.array([
-                    x1 + rho / 2 * (x1 + x1**2 - x2 - x2**2 - 1) + x1 * x2 / 2,
-                    x2 + rho / 2 * (x2 + x2**2 - x1 - x1**2 - 1) + x1 * x2 / 2,
-                ])
-                worst = max(worst, float(np.max(np.abs(got - want))))
+        for (x1, x2), g in zip(grid, conditional_gaussian_game(model, spec, np.array(grid))):
+            got = shapley_direct(g).payoffs
+            want = np.array([
+                x1 + rho / 2 * (x1 + x1**2 - x2 - x2**2 - 1) + x1 * x2 / 2,
+                x2 + rho / 2 * (x2 + x2**2 - x1 - x1**2 - 1) + x1 * x2 / 2,
+            ])
+            worst = max(worst, float(np.max(np.abs(got - want))))
         rows.append({"case": f"cond-gauss shapley rho={rho}", "max_dev": worst, "tol": 1e-8})
     # variance-decomposition example: f = x1 + x2 with a spurious correlated x3
     model3 = Model.from_expression("x1 + x2", 3)

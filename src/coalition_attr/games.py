@@ -268,26 +268,31 @@ def build_game(
     d: int,
     oracle: Callable[[np.ndarray], np.ndarray],
     chunk: Optional[int] = None,
-) -> Game:
+    stack: Optional[int] = None,
+) -> Game | list[Game]:
     """Evaluate a batched coalition-worth oracle on all 2^d masks into a dense Game.
 
     The oracle maps an int64 array of masks, all of one cardinality, to an
     array of their worths. It is called once per block of `layers(d, chunk)`
-    (chunk defaults to BUILD_CHUNK).
+    (chunk defaults to BUILD_CHUNK). With stack=N it builds N games at once:
+    the oracle returns an (N, len(masks)) array, one row per game, and
+    build_game returns the list of the N games.
     """
     if not (1 <= d <= DEFAULT_MAX_PLAYERS):
         raise GameError(f"player count {d} outside [1, {DEFAULT_MAX_PLAYERS}]")
-    values = np.empty(1 << d)
+    values = np.empty((1 << d,) if stack is None else (stack, 1 << d))
     for masks in layers(d, chunk or BUILD_CHUNK):
         worths = np.asarray(oracle(masks), dtype=float)
-        if worths.shape != masks.shape:
+        if worths.shape != values.shape[:-1] + masks.shape:
             raise GameError(f"oracle returned shape {worths.shape} for {len(masks)} coalitions")
         bad = ~np.isfinite(worths)
         if bad.any():
-            m = int(masks[np.argmax(bad)])
+            m = int(masks[np.argmax(bad) % len(masks)])
             raise GameError(f"oracle returned non-finite value on {coalition_label(m)}")
-        values[masks] = worths
-    return Game._adopt(d, values)
+        values[..., masks] = worths
+    if stack is None:
+        return Game._adopt(d, values)
+    return [Game._adopt(d, v) for v in values]
 
 
 def dual_game(g: Game) -> Game:

@@ -34,15 +34,7 @@ class GaussianSpec:
             raise GameError("non-finite entry in mean or covariance")
         if d and np.max(np.abs(S - S.T)) > SYMMETRY_TOL:
             raise GameError("covariance is not symmetric")
-        if d:
-            low = np.linalg.eigvalsh(S)[0]
-            if low < -PSD_TOL:
-                raise GameError(f"covariance is not PSD (min eigenvalue {low:.3e})")
-            if low < 0:
-                # roundoff repair: clamp eigenvalues in [-PSD_TOL, 0) to zero
-                w, Q = np.linalg.eigh(S)
-                S = (Q * np.maximum(w, 0.0)) @ Q.T
-                S = (S + S.T) / 2
+        S = checked_psd(S)
         mu.setflags(write=False)
         S.setflags(write=False)
         object.__setattr__(self, "mean", mu)
@@ -83,12 +75,32 @@ def _block(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return A[rows[..., :, None], cols[..., None, :]]
 
 
+def checked_psd(S: np.ndarray) -> np.ndarray:
+    """A covariance (r, r), or a stack of them (..., r, r), checked to be
+    PSD: a least eigenvalue below -PSD_TOL raises, and one in [-PSD_TOL, 0)
+    is roundoff, so that covariance gets its negative eigenvalues clamped to
+    zero. The others are returned as they are."""
+    if not S.shape[-1]:
+        return S
+    low = np.linalg.eigvalsh(S)[..., 0]
+    if np.any(low < -PSD_TOL):
+        raise GameError(f"covariance is not PSD (min eigenvalue {np.min(low):.3e})")
+    neg = low < 0
+    if not np.any(neg):
+        return S
+    w, Q = np.linalg.eigh(S)
+    R = (Q * np.maximum(w, 0.0)[..., None, :]) @ _t(Q)
+    return np.where(neg[..., None, None], (R + _t(R)) / 2, S)
+
+
 def _solve_or_pinv(A: np.ndarray, B: np.ndarray, allow_pinv: bool) -> np.ndarray:
-    """Solve A X = B for a stack of square blocks. A block whose condition
+    """Solve A X = B for a stack of covariance blocks. A block whose condition
     number exceeds 1e12 is singular: it raises, or with allow_pinv gets the
-    pseudo-inverse solution; the others are solved exactly."""
-    sv = np.linalg.svd(A, compute_uv=False)
-    singular = sv[..., -1] <= sv[..., 0] * 1e-12
+    pseudo-inverse solution; the others are solved exactly. The blocks are
+    symmetric PSD, so their eigenvalues are their singular values, and
+    eigvalsh finds them in about half the time of an SVD."""
+    w = np.linalg.eigvalsh(A)
+    singular = w[..., 0] <= w[..., -1] * 1e-12
     if not singular.any():
         return np.linalg.solve(A, B)
     if not allow_pinv:

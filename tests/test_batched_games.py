@@ -225,6 +225,50 @@ def test_conditional_mc_game_is_bit_identical_to_per_mask(d, spec_name):
     assert np.array_equal(got, ref_conditional_mc(f, spec, x, 30, 11))
 
 
+def asymmetric_spec(d: int) -> GaussianSpec:
+    """A valid spec whose covariance is asymmetric by 7e-13, below
+    SYMMETRY_TOL: the empty mask draws from it as it is."""
+    idx = np.arange(d)
+    S = 0.6 ** np.abs(idx[:, None] - idx[None, :])
+    S[0, 1] += 7e-13
+    return GaussianSpec(np.linspace(0.2, -0.2, d), S)
+
+
+@pytest.mark.parametrize("n", [2, 7, 240, 1000])
+@pytest.mark.parametrize("spec_of", [singular_spec, asymmetric_spec, SPECS["rho09"]])
+def test_conditional_mc_blocks_are_bit_identical_to_per_mask(monkeypatch, n, spec_of):
+    # 50 rows: blocks of 25, 7 or 1 masks, and 240 or 1000 points split
+    # across several model calls
+    monkeypatch.setattr(value_functions, "MAX_ROWS", 50)
+    d = 4
+    f, spec = Model.from_expression(MODELS[d], d), spec_of(d)
+    x = np.random.default_rng(n).normal(size=d)
+    got = conditional_mc_game(f, spec, x, n=n, seed=3).values
+    assert np.array_equal(got, ref_conditional_mc(f, spec, x, n, 3))
+
+
+@pytest.mark.parametrize("d", sorted(MODELS))
+@pytest.mark.parametrize("spec_name", sorted(SPECS))
+def test_stacked_instances_give_each_its_own_game(d, spec_name):
+    f, spec = Model.from_expression(MODELS[d], d), SPECS[spec_name](d)
+    X = np.random.default_rng(d).normal(size=(5, d))
+    stacked = conditional_gaussian_game(f, spec, X)
+    assert len(stacked) == len(X)
+    for x, g in zip(X, stacked):
+        assert np.array_equal(g.values, conditional_gaussian_game(f, spec, x).values)
+    assert conditional_gaussian_game(f, spec, X[:0]) == []
+
+
+def test_build_game_builds_a_stack_of_games():
+    gs = build_game(3, lambda masks: np.stack([masks * 1.0, masks * 2.0]), stack=2)
+    assert [g.values.tolist() for g in gs] == [list(range(8)), list(range(0, 16, 2))]
+    with pytest.raises(GameError, match="shape"):
+        build_game(3, lambda masks: masks * 1.0, stack=2)
+    with pytest.raises(GameError, match=r"non-finite value on \{1,2\}"):
+        build_game(3, lambda masks: np.stack([masks * 1.0, np.where(masks == 3, np.nan, 0)]),
+                   stack=2)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("spec_name", sorted(SPECS))
 @pytest.mark.parametrize("total_index", [False, True])
@@ -314,7 +358,6 @@ def test_pointwise_oracles_take_one_coalition_closed_forms_a_layer(monkeypatch):
     spec, x = ar1_spec(d, 0.5, d), np.zeros(d)
     pointwise = [
         lambda: marginal_game(f, np.ones((5, d)), x),
-        lambda: conditional_mc_game(f, spec, x, n=10, seed=1),
         lambda: sobol_closed_game(cubic, spec, mc=(10, 1)),
         lambda: sobol_total_game(cubic, spec, mc=(10, 1)),
     ]
@@ -324,6 +367,17 @@ def test_pointwise_oracles_take_one_coalition_closed_forms_a_layer(monkeypatch):
         batches.clear()
     conditional_gaussian_game(f, spec, x)
     assert batches == [1, 4, 6, 4, 1]
+    batches.clear()
+    # conditional Monte Carlo takes a layer block of at most MAX_ROWS // n masks
+    conditional_mc_game(f, spec, x, n=10, seed=1)
+    assert batches == [1, 4, 6, 4, 1]
+    batches.clear()
+    monkeypatch.setattr(value_functions, "MAX_ROWS", 25)
+    conditional_mc_game(f, spec, x, n=10, seed=1)
+    assert batches == [1, 2, 2, 2, 2, 2, 2, 2, 1]
+    batches.clear()
+    conditional_mc_game(f, spec, x, n=30, seed=1)
+    assert batches == [1] * (1 << d)
 
 
 def test_build_game_rejects_a_misshapen_oracle():
@@ -357,3 +411,20 @@ def test_marginal_game_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_conditional_mc_game_memory_stays_bounded():
+    # one mask of 5000 points per block: 0.4 MB of points, where the whole
+    # layer of 252 masks would take about 100 MB
+    d = 10
+    terms = [f"x{i + 1}*x{i % d + 2}" for i in range(d - 1)] + [f"x{i + 1}" for i in range(d)]
+    f = Model.from_expression(" + ".join(terms) + " + x3^2", d)
+    idx = np.arange(d)
+    spec = GaussianSpec(np.zeros(d), 0.5 ** np.abs(idx[:, None] - idx[None, :]))
+    tracemalloc.start()
+    try:
+        conditional_mc_game(f, spec, np.linspace(-1.0, 1.0, d), n=5000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

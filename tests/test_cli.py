@@ -84,6 +84,35 @@ def test_attribute_pme_on_dual(g3_file, capsys):
     assert report["allocated_game"] == "dual"
 
 
+def power_game(d: int, scale: float) -> list[float]:
+    """v(S) = scale * (sum_{i in S} a_i)^1.5: positive, with a positive dual."""
+    a = np.linspace(0.5, 2.0, d)
+    sums = np.array([a[[j for j in range(d) if m >> j & 1]].sum() for m in range(1 << d)])
+    return (scale * sums**1.5).tolist()
+
+
+@pytest.mark.parametrize("method", ["pv", "pme"])
+@pytest.mark.parametrize("scale", [1e-30, 2.0**-100])
+def test_pv_and_pme_at_any_scale(tmp_path, capsys, method, scale):
+    # at d=12, the ratio potential of worths near 1e-30 underflows unless
+    # the walk runs at unit scale
+    payoffs = {}
+    for c in (1.0, scale):
+        g = tmp_path / "power.json"
+        g.write_text(json.dumps({"d": 12, "values": power_game(12, c)}))
+        code, out = run(capsys, "attribute", "--game", str(g), "--method", method)
+        assert code == 0
+        report = json.loads(out)
+        assert abs(report["efficiency_gap"]) <= 1e-12 * report["v_full"]
+        payoffs[c] = np.array(report["payoffs"])
+    assert np.all(payoffs[scale] > 0)
+    want = scale * payoffs[1.0]
+    if scale == 2.0**-100:
+        assert np.array_equal(payoffs[scale], want)
+    else:
+        assert np.max(np.abs(payoffs[scale] - want)) <= 1e-14 * np.max(want)
+
+
 def test_attribute_dual_shapley(g3_file, capsys):
     code, out = run(capsys, "attribute", "--game", g3_file, "--method", "shapley", "--on-dual")
     assert code == 0

@@ -148,6 +148,16 @@ def test_proportional_value_is_homogeneous(g, k):
 
 
 @core
+@given(games(positive=True), dual_worths(), st.integers(-900, 900))
+def test_pv_and_pme_scale_by_powers_of_two_bit_for_bit(g, w, k):
+    scaled = proportional_value(Game(g.d, np.ldexp(g.values, k))).payoffs
+    assert np.array_equal(scaled, np.ldexp(proportional_value(g).payoffs, k))
+    h = dual_game(w)
+    scaled = pme(Game(h.d, np.ldexp(h.values, k))).payoffs
+    assert np.array_equal(scaled, np.ldexp(pme(h).payoffs, k))
+
+
+@core
 @given(dual_worths())
 def test_pme_is_efficient_on_duals_with_zero_worths(w):
     g = dual_game(w)
