@@ -302,8 +302,8 @@ def dual_game(g: Game) -> Game:
 
 
 def magnitude(g: Game) -> float:
-    """max(1, max |v|): exact-method tolerances such as EXACT_TOL are relative to it."""
-    return max(1.0, float(g.values.max()), -float(g.values.min()))
+    """max |v|, floored at the smallest normal double: EXACT_TOL is relative to it."""
+    return max(float(np.finfo(float).tiny), float(g.values.max()), -float(g.values.min()))
 
 
 def efficiency_gap(g: Game, a: Allocation) -> float:

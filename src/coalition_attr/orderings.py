@@ -8,8 +8,6 @@ whole (m, d) array of orders from one seeded stream.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -25,6 +23,24 @@ class SupportTooLargeError(GameError):
     """Raised when Uniform.expand would list more than 8! orderings."""
 
 
+def _linear_extensions(pred_masks: Sequence[int]) -> np.ndarray:
+    """The (count, d) int64 array, in lexicographic order, of every order that
+    places each player j after all of pred_masks[j] (all d! when every mask is 0)."""
+    preds = np.array(pred_masks, dtype=np.int64)
+    players = np.arange(len(preds))
+    # extend all prefixes of one length at a time; nonzero() walks the prefixes
+    # in order and each prefix's ready players (unplaced, every predecessor
+    # placed) in ascending order. int8 keeps a 10!-row enumeration small.
+    orders = np.zeros((1, 0), dtype=np.int8)
+    placed = np.zeros(1, dtype=np.int64)
+    for _ in range(len(preds)):
+        p = placed[:, None]
+        rows, ready = np.nonzero(((p >> players) & 1 == 0) & (preds & ~p == 0))
+        orders = np.column_stack([orders[rows], ready.astype(np.int8)])
+        placed = placed[rows] | (1 << ready)
+    return orders.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Uniform:
     """Uniform distribution over all d! orderings."""
@@ -35,8 +51,8 @@ class Uniform:
         if d > self.MAX_EXACT_PLAYERS:
             raise SupportTooLargeError(f"uniform expansion of {d}! orderings is too large; "
                                        "use the Monte Carlo estimator instead")
-        orders = np.array(list(itertools.permutations(range(d))), dtype=np.int64)
-        return orders, np.full(len(orders), 1.0 / math.factorial(d))
+        orders = _linear_extensions((0,) * d)
+        return orders, np.full(len(orders), 1.0 / len(orders))
 
     def sample(self, d: int, rng: np.random.Generator, m: int) -> np.ndarray:
         return rng.permuted(np.tile(np.arange(d), (m, 1)), axis=1)
@@ -105,7 +121,6 @@ class PartialOrderUniform:
     d: int
     pred_masks: tuple[int, ...]
     counts: np.ndarray = field(init=False, repr=False, compare=False)
-    _preds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.pred_masks) != self.d:
@@ -127,7 +142,6 @@ class PartialOrderUniform:
         if counts[0] == 0:
             raise GameError("cycle detected among the precedence constraints")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "_preds", np.array(self.pred_masks, dtype=np.int64))
 
     def _down_sets(self) -> np.ndarray | None:
         """The down-sets as an ascending int64 array of masks, or None when
@@ -144,26 +158,12 @@ class PartialOrderUniform:
                 view[:, int(v > u), :, int(v < u)] = False
         return np.flatnonzero(keep)
 
-    def _ready(self, placed: np.ndarray) -> np.ndarray:
-        """(len(placed), d) bools: player j is unplaced and all its predecessors are placed."""
-        p = placed[:, None]
-        return ((p >> np.arange(self.d)) & 1 == 0) & (self._preds & ~p == 0)
-
     def num_extensions(self) -> int:
         return int(self.counts[0])
 
     def enumerate_extensions(self) -> Iterator[tuple[int, ...]]:
         """Every linear extension, in lexicographic order."""
-        # extend all prefixes of one length at a time; nonzero() walks the
-        # prefixes in order and each prefix's ready players in ascending order.
-        # int8 players keep a 10!-row enumeration small.
-        orders = np.zeros((1, 0), dtype=np.int8)
-        placed = np.zeros(1, dtype=np.int64)
-        for _ in range(self.d):
-            rows, players = np.nonzero(self._ready(placed))
-            orders = np.column_stack([orders[rows], players.astype(np.int8)])
-            placed = placed[rows] | (1 << players)
-        yield from map(tuple, orders.tolist())
+        yield from map(tuple, _linear_extensions(self.pred_masks).tolist())
 
     def reach_counts(self) -> np.ndarray:
         """f[S], the orders of S that respect the DAG (0 unless S is a down-set):
@@ -175,7 +175,7 @@ class PartialOrderUniform:
         """Every linear extension, with probability 1/count: the Weber oracle."""
         if d != self.d:
             raise GameError("player count mismatch")
-        orders = np.array(list(self.enumerate_extensions()), dtype=np.int64).reshape(-1, d)
+        orders = _linear_extensions(self.pred_masks)
         return orders, np.full(len(orders), 1.0 / len(orders))
 
     def sample(self, d: int, rng: np.random.Generator, m: int) -> np.ndarray:

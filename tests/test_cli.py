@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from coalition_attr import Game, cli
+from coalition_attr import Allocation, Game, cli
 from coalition_attr.cli import main
 from conftest import g3_fixture, unanimity_game
 
@@ -111,6 +111,86 @@ def test_pv_and_pme_at_any_scale(tmp_path, capsys, method, scale):
         assert np.array_equal(payoffs[scale], want)
     else:
         assert np.max(np.abs(payoffs[scale] - want)) <= 1e-14 * np.max(want)
+
+
+def power_game_file(tmp_path, d: int, scale: float) -> str:
+    p = tmp_path / f"power{d}.json"
+    p.write_text(json.dumps({"d": d, "values": power_game(d, scale)}))
+    return str(p)
+
+
+def zero_allocation(g, *args, **kwargs):
+    return Allocation(np.zeros(g.d), "zero")
+
+
+@pytest.mark.parametrize("method, route", [("pme", "pme"), ("shapley", "shapley_direct")])
+def test_the_gate_is_relative_below_unit_scale(tmp_path, monkeypatch, capsys, method, route):
+    # zero payoffs miss the whole of v(D) - v(empty), about 6e-29: an absolute
+    # 1e-10 bound would pass them
+    monkeypatch.setattr(cli, route, zero_allocation)
+    code = main(["attribute", "--game", power_game_file(tmp_path, 12, 1e-30), "--method", method])
+    assert code == 4
+    assert "for exact method" in capsys.readouterr().err
+
+
+def test_verify_fails_a_wrong_shapley_below_unit_scale(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "shapley_direct", zero_allocation)
+    code, out = run(capsys, "verify", "--game", power_game_file(tmp_path, 12, 1e-30))
+    assert code == 1
+    assert "FAIL  cross-route shapley equality" in out
+
+
+@pytest.mark.parametrize("scale", [1e-30, 2.0**-100, 1e-300])
+def test_every_method_and_verify_pass_below_unit_scale(tmp_path, capsys, scale):
+    game = power_game_file(tmp_path, 8, scale)
+    for method in cli.METHODS:
+        code, out = run(capsys, "attribute", "--game", game, "--method", method, "--seed", "1")
+        assert code == 0, method
+    code, out = run(capsys, "verify", "--game", game)
+    assert code == 0 and "FAIL" not in out
+
+
+# the cli global that each --method's route calls
+ROUTE_GLOBALS = {
+    "shapley": "shapley_direct",
+    "shapley-perm": "shapley_permutation",
+    "shapley-div": "shapley_dividends",
+    "weber": "weber_allocate",
+    "weber-mc": "weber_monte_carlo",
+    "harsanyi": "harsanyi_allocate",
+    "pv": "proportional_value",
+    "pme": "pme",
+}
+
+
+def test_every_method_has_a_route():
+    assert list(ROUTE_GLOBALS) == list(cli.METHODS)
+
+
+@pytest.mark.parametrize("method", ROUTE_GLOBALS)
+def test_the_gate_holds_every_allocation_without_a_stderr(tmp_path, monkeypatch, capsys,
+                                                          method):
+    real = getattr(cli, ROUTE_GLOBALS[method])
+    calls = []
+
+    def inefficient(g, *args, **kwargs):
+        # the route's allocation, with v(D) - v(empty) too much for player 1
+        calls.append(method)
+        a = real(g, *args, **kwargs)
+        payoffs = a.payoffs.copy()
+        payoffs[0] += g.v_full - g.v_empty
+        return Allocation(payoffs, a.method, a.stderr)
+
+    # the route looks the global up when it runs, so it calls the wrapper
+    monkeypatch.setattr(cli, ROUTE_GLOBALS[method], inefficient)
+    code = main(["attribute", "--game", power_game_file(tmp_path, 3, 1.0), "--method", method,
+                 "--seed", "1", "--n", "50"])
+    assert calls == [method]
+    if method == "weber-mc":
+        assert code == 0
+    else:
+        assert code == 4
+        assert "for exact method" in capsys.readouterr().err
 
 
 def test_attribute_dual_shapley(g3_file, capsys):

@@ -18,11 +18,15 @@ from coalition_attr import (
 from coalition_attr.games import layers
 
 
-def test_uniform_expand():
-    orders, probs = Uniform().expand(3)
-    assert orders.shape == (6, 3) and probs.shape == (6,)
-    assert np.allclose(probs, 1 / 6) and probs.sum() == pytest.approx(1.0)
-    assert set(map(tuple, orders.tolist())) == set(itertools.permutations(range(3)))
+@pytest.mark.parametrize("d", range(1, 9))
+def test_uniform_expand(d):
+    # the oracle: every permutation, in lexicographic order
+    want = np.array(list(itertools.permutations(range(d))))
+    orders, probs = Uniform().expand(d)
+    assert orders.dtype == np.int64 and np.array_equal(orders, want)
+    assert np.all(probs == 1.0 / math.factorial(d)) and probs.shape == (len(want),)
+    dag_orders, dag_probs = causal_orderings(d, []).expand(d)
+    assert np.array_equal(dag_orders, orders) and np.array_equal(dag_probs, probs)
 
 
 def test_uniform_expand_too_large():

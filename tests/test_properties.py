@@ -181,7 +181,8 @@ def test_pme_is_the_limit_of_pv_on_dual_worths_shifted_by_epsilon(w):
     shifted = w.values + 1e-12
     shifted[0] = 0.0
     want = proportional_value(Game(w.d, shifted)).payoffs
-    assert np.max(np.abs(pme(dual_game(w)).payoffs - want)) <= 1e-8 * magnitude(w)
+    # the 1e-12 shift is absolute, and so is the bound below unit scale
+    assert np.max(np.abs(pme(dual_game(w)).payoffs - want)) <= 1e-8 * max(1.0, magnitude(w))
 
 
 @core
@@ -266,6 +267,22 @@ def test_exact_weber_is_linear(g, h, a, seed):
     got = weber_allocate(Game(g.d, a * g.values + h.values), p).payoffs
     want = a * weber_allocate(g, p).payoffs + weber_allocate(h, p).payoffs
     assert np.max(np.abs(got - want)) <= _tol(g) * max(1.0, abs(a)) + _tol(h)
+
+
+@core
+@given(games(), st.integers(0, 2**32 - 1))
+def test_every_weber_value_is_a_harsanyi_value(g, seed):
+    # Derks, Haller & Peters (2000): player i's weight on S is the chance that
+    # i arrives last among the members of S, counted over the expanded orders
+    p = order_distribution(g.d, seed)
+    orders, probs = p.expand(g.d)
+    entries = {}
+    for mask in range(1, 1 << g.d):
+        for order, prob in zip(orders.tolist(), probs):
+            last = [j for j in order if (mask >> j) & 1][-1]
+            entries[last, mask] = entries.get((last, mask), 0.0) + prob
+    got = harsanyi_allocate(g, WeightSystem("custom", entries)).payoffs
+    assert np.max(np.abs(got - weber_allocate(g, p).payoffs)) <= _tol(g)
 
 
 @core
