@@ -82,26 +82,16 @@ def _read_file(path: str) -> str:
         raise CliError(f"cannot read {path}: {e}", EXIT_DATA) from e
 
 
-def _load_json(path: str, parse, what: str):
+def _load_json(path: str, parse, what: str, numerical: bool = False):
     """Parse a JSON input file from its bytes (orjson checks the UTF-8); a
-    structurally invalid one is a data error.
-
-    GameError (a ValueError) passes through, so each caller keeps its own exit
-    code for a well-formed input that fails validation.
-    """
+    structurally invalid one is a data error, and so is one that fails
+    validation (GameError), unless `numerical` leaves that to main (exit 4)."""
     try:
         return parse(_read_bytes(path))
-    except GameError:
-        raise
     except (KeyError, TypeError, AttributeError, ValueError) as e:
+        if numerical and isinstance(e, GameError):
+            raise
         raise CliError(f"bad {what} {path}: {e}", EXIT_DATA) from e
-
-
-def _load_game(path: str) -> Game:
-    try:
-        return _load_json(path, Game.from_json, "game file")
-    except GameError as e:
-        raise CliError(f"bad game file {path}: {e}", EXIT_DATA) from e
 
 
 def _load_csv_matrix(path: str) -> np.ndarray:
@@ -138,7 +128,7 @@ def _build_game(args) -> tuple[Game, dict]:
     if len(sources) != 1:
         raise CliError("exactly one of --game or --model is required", EXIT_CONFIG)
     if args.game:
-        return _load_game(args.game), {"game": args.game}
+        return _load_json(args.game, Game.from_json, "game file"), {"game": args.game}
     if not args.value_fn:
         raise CliError("--model requires --value-fn", EXIT_CONFIG)
     if args.d is None and not args.x and not args.gaussian:
@@ -146,79 +136,74 @@ def _build_game(args) -> tuple[Game, dict]:
 
     spec = None
     if args.gaussian:
-        try:
-            spec = _load_json(args.gaussian, GaussianSpec.from_json, "Gaussian spec")
-        except GameError as e:
-            raise CliError(f"bad Gaussian spec {args.gaussian}: {e}", EXIT_DATA) from e
+        spec = _load_json(args.gaussian, GaussianSpec.from_json, "Gaussian spec")
     x = _parse_vector(args.x) if args.x else None
-    d = args.d or (spec.d if spec is not None else len(x))
+    d = args.d if args.d is not None else (spec.d if spec is not None else len(x))
     try:
         model = Model.from_expression(args.model, d)
     except ExprError as e:
         raise CliError(f"bad model expression: {e}", EXIT_CONFIG) from e
 
     vf = args.value_fn
-    echo = {"model": args.model, "value_fn": vf, "d": d}
-    try:
-        if vf == "marginal":
-            if not args.data or x is None:
-                raise CliError("marginal value function needs --data and --x", EXIT_CONFIG)
-            return marginal_game(model, _load_csv_matrix(args.data), x), echo
-        if spec is None:
-            raise CliError(f"value function {vf} needs --gaussian", EXIT_CONFIG)
-        if vf == "cond-gauss":
-            if x is None:
-                raise CliError("cond-gauss needs --x", EXIT_CONFIG)
-            return conditional_gaussian_game(model, spec, x), echo
-        if vf == "cond-mc":
-            if x is None:
-                raise CliError("cond-mc needs --x", EXIT_CONFIG)
-            _require_seed(args)
-            return conditional_mc_game(model, spec, x, args.n, args.seed), echo
-        if vf in ("sobol", "sobol-total"):
-            mc = None
-            if model.monos is None or model.degree > 2:
-                _require_seed(args)
-                mc = (args.n, args.seed)
-            sobol = sobol_closed_game if vf == "sobol" else sobol_total_game
-            return sobol(model, spec, normalize=not args.unnormalized, mc=mc), echo
-    except GameError as e:
-        raise CliError(str(e), EXIT_NUMERICAL) from e
-    raise CliError(f"unknown value function {vf!r}", EXIT_CONFIG)
+    route, needs = VALUE_FNS[vf]
+    missing = [f"--{option}" for option in needs if not getattr(args, option)]
+    if missing:
+        raise CliError(f"{vf} needs {' and '.join(missing)}", EXIT_CONFIG)
+    return route(model, spec, x, args), {"model": args.model, "value_fn": vf, "d": d}
 
 
-def _require_seed(args):
+def _mc_seed(args) -> int:
+    """--seed, which every Monte Carlo path requires."""
     if args.seed is None:
         raise CliError("Monte Carlo paths require --seed", EXIT_CONFIG)
+    return args.seed
+
+
+def _sobol(sobol, model: Model, spec: GaussianSpec, args) -> Game:
+    """A Sobol game: closed form for a certified quadratic, else Monte Carlo."""
+    mc = None if model.monos is not None and model.degree <= 2 else (args.n, _mc_seed(args))
+    return sobol(model, spec, normalize=not args.unnormalized, mc=mc)
+
+
+# Each --value-fn's route, (model, spec, x, args) -> Game, and the options it
+# needs. Routes look value functions up in this module's globals when called,
+# so a wrapped global is seen.
+VALUE_FNS = {
+    "marginal": (lambda f, spec, x, args: marginal_game(f, _load_csv_matrix(args.data), x),
+                 ("data", "x")),
+    "cond-gauss": (lambda f, spec, x, args: conditional_gaussian_game(f, spec, x),
+                   ("gaussian", "x")),
+    "cond-mc": (lambda f, spec, x, args: conditional_mc_game(f, spec, x, args.n, _mc_seed(args)),
+                ("gaussian", "x")),
+    "sobol": (lambda f, spec, x, args: _sobol(sobol_closed_game, f, spec, args), ("gaussian",)),
+    "sobol-total": (lambda f, spec, x, args: _sobol(sobol_total_game, f, spec, args),
+                    ("gaussian",)),
+}
 
 
 def _order_distribution(d: int, args):
-    """Random-order distribution from --pmf, else --dag, else uniform; a pmf
-    or DAG file that fails validation is a data error."""
-    try:
-        if args.pmf:
-            pmf = _load_json(args.pmf, Explicit.from_json, "pmf")
-            if len(pmf.orders[0]) != d:
-                raise GameError(f"orders of {len(pmf.orders[0])} players for a {d}-player game")
-            return pmf
-        if args.dag:
-            return _load_json(args.dag, lambda text: causal_orderings_from_json(d, text), "DAG")
-    except GameError as e:
-        what, path = ("pmf", args.pmf) if args.pmf else ("DAG", args.dag)
-        raise CliError(f"bad {what} {path}: {e}", EXIT_DATA) from e
+    """Random-order distribution from --pmf, else --dag, else uniform."""
+    if args.pmf:
+        pmf = _load_json(args.pmf, Explicit.from_json, "pmf")
+        if len(pmf.orders[0]) != d:
+            raise CliError(f"bad pmf {args.pmf}: orders of {len(pmf.orders[0])} players "
+                           f"for a {d}-player game", EXIT_DATA)
+        return pmf
+    if args.dag:
+        return _load_json(args.dag, lambda text: causal_orderings_from_json(d, text), "DAG")
     return Uniform()
 
 
 def _weights(args) -> WeightSystem:
     if not args.weights:
         return WeightSystem()
-    return _load_json(args.weights, WeightSystem.from_json, "weight system")
+    # a weight file that fails validation exits 4, as its checks against the game do
+    return _load_json(args.weights, WeightSystem.from_json, "weight system", numerical=True)
 
 
 def _weber_mc(g: Game, args) -> Allocation:
-    _require_seed(args)
-    return weber_monte_carlo(g, _order_distribution(g.d, args), args.n, args.seed,
-                             threads=_threads())
+    seed = _mc_seed(args)
+    return weber_monte_carlo(g, _order_distribution(g.d, args), args.n, seed, threads=_threads())
 
 
 # Each --method's route, (game, args) -> Allocation, in --help order. Routes look
@@ -250,8 +235,11 @@ def _write_report(report: dict, args) -> None:
     else:
         data = orjson.dumps(report, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
     if getattr(args, "out", None):
-        with open(args.out, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(data)
+        except OSError as e:
+            raise CliError(f"cannot write {args.out}: {e}", EXIT_DATA) from e
     else:
         sys.stdout.write(data.decode())
 
@@ -261,10 +249,7 @@ def cmd_attribute(args) -> int:
     # pme is the one method that dualizes internally; --on-dual dualizes the others
     dual_inside = args.method == "pme"
     target = dual_game(g) if (args.on_dual and not dual_inside) else g
-    try:
-        alloc = METHODS[args.method](target, args)
-    except GameError as e:
-        raise CliError(str(e), EXIT_NUMERICAL) from e
+    alloc = METHODS[args.method](target, args)
     allocated = dual_game(target) if dual_inside else target
     gap = efficiency_gap(allocated, alloc)
     if not math.isfinite(gap):
@@ -290,7 +275,7 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_dividends(args) -> int:
-    g = _load_game(args.game)
+    g = _load_json(args.game, Game.from_json, "game file")
     t = dividends_fast(g)
     checksum = float(np.sum(t.dividends))
     if not math.isfinite(checksum):
@@ -305,7 +290,7 @@ def cmd_dividends(args) -> int:
     return EXIT_OK
 
 
-def verify_game(g: Game, seed: int = 0, _corrupt_dividends: bool = False) -> list[tuple[str, bool]]:
+def verify_game(g: Game, seed: int = 0) -> list[tuple[str, bool]]:
     """Consistency checks bundling the efficiency and equivalence results."""
     rng = np.random.default_rng(seed)
     checks: list[tuple[str, bool]] = []
@@ -323,10 +308,7 @@ def verify_game(g: Game, seed: int = 0, _corrupt_dividends: bool = False) -> lis
     ))
 
     t = dividends_fast(g)
-    div = t.dividends.copy()
-    if _corrupt_dividends:
-        div[-1] += 1.0  # fault-injection hook for the exit-code contract
-    back = zeta_reconstruct(type(t)(t.d, div))
+    back = zeta_reconstruct(t)
     checks.append((
         "moebius round-trip",
         float(np.max(np.abs(back.values - g.values))) / scale <= 1e-12,
@@ -351,8 +333,8 @@ def verify_game(g: Game, seed: int = 0, _corrupt_dividends: bool = False) -> lis
 
 
 def cmd_verify(args) -> int:
-    g = _load_game(args.game)
-    checks = verify_game(g, _corrupt_dividends=bool(getattr(args, "corrupt_dividends", False)))
+    g = _load_json(args.game, Game.from_json, "game file")
+    checks = verify_game(g)
     all_ok = True
     for name, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
@@ -427,6 +409,14 @@ def sample_count(text: str) -> int:
     return value
 
 
+def feature_count(text: str) -> int:
+    """--d: a feature count of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"feature count must be >= 1, got {text}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="coalition-attr",
@@ -438,11 +428,11 @@ def make_parser() -> argparse.ArgumentParser:
     at = sub.add_parser("attribute", help="build or load a game and allocate it")
     at.add_argument("--game", help="game JSON file")
     at.add_argument("--model", help="model expression over x1..xd")
-    at.add_argument("--value-fn", choices=["marginal", "cond-gauss", "cond-mc", "sobol", "sobol-total"])
+    at.add_argument("--value-fn", choices=list(VALUE_FNS))
     at.add_argument("--data", help="background dataset CSV")
     at.add_argument("--gaussian", help="Gaussian spec JSON")
     at.add_argument("--x", help="instance, comma-separated")
-    at.add_argument("--d", type=int, help="feature count (when not implied)")
+    at.add_argument("--d", type=feature_count, help="feature count (when not implied)")
     at.add_argument("--method", required=True, choices=list(METHODS))
     at.add_argument("--pmf", help="explicit random-order pmf JSON")
     at.add_argument("--weights", help="weight system JSON")
@@ -462,7 +452,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="run consistency checks on a game file")
     vf.add_argument("--game", required=True)
-    vf.add_argument("--corrupt-dividends", action="store_true", help=argparse.SUPPRESS)
     vf.set_defaults(func=cmd_verify)
 
     pb = sub.add_parser("paper-bench", help="reproduce the bundled closed-form examples")

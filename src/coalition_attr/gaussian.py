@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .games import GameError, split_masks
+from .games import GameError, json_numbers, split_masks
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -47,7 +47,8 @@ class GaussianSpec:
     @classmethod
     def from_json(cls, text: bytes | str) -> "GaussianSpec":
         obj = orjson.loads(text)
-        return cls(np.asarray(obj["mean"], float), np.asarray(obj["cov"], float))
+        return cls(json_numbers(obj["mean"], "mean"),
+                   np.array([json_numbers(row, "cov row") for row in obj["cov"]]))
 
     def to_json(self) -> str:
         return orjson.dumps({"mean": self.mean.tolist(), "cov": self.cov.tolist()}).decode()

@@ -73,13 +73,6 @@ def _outputs(f: Model, pts: np.ndarray) -> np.ndarray:
     return np.concatenate([f(pts[lo:lo + MAX_ROWS]) for lo in range(0, len(pts), MAX_ROWS)])
 
 
-def _per_coalition(d: int, one: Callable[[int], float]) -> Game:
-    """The game whose oracle gets one coalition per call, for the pointwise
-    paths: each coalition already hands the model its own block of rows,
-    so the oracle is called once per coalition."""
-    return build_game(d, lambda masks: np.array([one(int(m)) for m in masks]), chunk=1)
-
-
 def _check_features(f: Model, spec: GaussianSpec, x: np.ndarray) -> None:
     if spec.d != f.d or x.shape[-1:] != (f.d,) or x.ndim > 2:
         raise GameError("model, Gaussian spec, and instance disagree on feature count")
@@ -100,14 +93,13 @@ def marginal_game(f: Model, data: np.ndarray, x: np.ndarray) -> Game:
     if not np.all(np.isfinite(data)):
         raise GameError("background data contains non-finite entries")
 
-    def worth(mask: int) -> float:
-        # built feature by feature, so the model reads contiguous columns
-        cols = data.T.copy()
-        known = split_masks(mask, f.d)[0][0]
-        cols[known] = x[known, None]
-        return float(_outputs(f, cols.T).mean())
+    def worth(masks: np.ndarray) -> np.ndarray:
+        inside = (masks[:, None] >> np.arange(f.d)) & 1 == 1
+        pts = np.where(inside[:, None, :], x, data)
+        return _outputs(f, pts.reshape(-1, f.d)).reshape(len(masks), -1).mean(axis=1)
 
-    return _per_coalition(f.d, worth)
+    # chunk=1: the benchmark's self-test counts one oracle call per coalition
+    return build_game(f.d, worth, chunk=1)
 
 
 def conditional_gaussian_game(f: Model, spec: GaussianSpec, x: np.ndarray) -> Game | list[Game]:
@@ -140,7 +132,7 @@ def conditional_mc_game(
     """Monte Carlo estimate of v(A) = E[f(X) | X_A = x_A]; v(D) = f(x) exactly.
 
     Each mask draws from its own SeedSequence((seed, mask)) the n points
-    multivariate_normal(method="svd") would draw from its conditional law.
+    numpy's SVD-method Gaussian sampler would draw from its conditional law.
     A block of up to MAX_ROWS // n masks is conditioned, checked and
     factored at once, and the model sees its points MAX_ROWS at a time.
     """
@@ -155,23 +147,44 @@ def conditional_mc_game(
     def worth(masks: np.ndarray) -> np.ndarray:
         if masks[0] == full:
             return np.array([f(x)])
-        known, rest, W, _, Sc = _condition_blocks(spec, masks, allow_pinv=True)
-        if known.shape[1]:
-            # one matrix-vector product per mask, as gaussian_conditional computes it
-            means = spec.mean[rest] + (W @ (x[known] - spec.mean[known])[..., None])[..., 0]
-            Sc = checked_psd(Sc)
-        else:  # the empty mask keeps the spec's own law
-            means, Sc = spec.mean[None], spec.cov[None]
-        u, s, _ = np.linalg.svd(Sc)
-        factors = u * np.sqrt(s)[..., None, :]  # as multivariate_normal factors
-        pts = np.empty((len(masks), n, f.d))
-        for i, mask in enumerate(masks):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, int(mask))))
-            pts[i][:, known[i]] = x[known[i]]
-            pts[i][:, rest[i]] = means[i] + rng.standard_normal((n, rest.shape[1])) @ factors[i].T
+        known, draw = _conditional_sampler(spec, masks)
+        pts = np.concatenate([draw(i, _rng(seed, mask), x[known[i]][None], n)
+                              for i, mask in enumerate(masks)])
         return _outputs(f, pts.reshape(-1, f.d)).reshape(len(masks), n).mean(axis=1)
 
     return build_game(f.d, worth, chunk=max(1, MAX_ROWS // n))
+
+
+def _rng(*key) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(tuple(int(k) for k in key)))
+
+
+def _svd_factor(S: np.ndarray) -> np.ndarray:
+    """F F' = S for a stack of covariances: u * sqrt(s), as numpy's sampler factors them."""
+    u, s, _ = np.linalg.svd(S)
+    return u * np.sqrt(s)[..., None, :]
+
+
+def _conditional_sampler(spec: GaussianSpec, masks: np.ndarray):
+    """A layer block of masks conditioned, checked and factored at once (the
+    empty mask keeps the spec's own law): (known, draw), where draw(i, rng,
+    xk, n) gives n points of mask i's law at each row of xk (p, k): (p, n, d)."""
+    known, rest, W, _, Sc = _condition_blocks(spec, masks, allow_pinv=True)
+    factors = _svd_factor(checked_psd(Sc) if known.shape[1] else spec.cov[None])
+
+    def draw(i: int, rng: np.random.Generator, xk: np.ndarray, n: int) -> np.ndarray:
+        means = spec.mean[rest[i]]
+        if known.shape[1]:
+            # one matrix-vector product per point, as gaussian_conditional
+            # computes it: m0 + xk @ W.T rounds differently
+            means = means + (W[i] @ (xk - spec.mean[known[i]])[..., None])[..., 0]
+        pts = np.empty((len(xk), n, spec.d))
+        pts[:, :, known[i]] = xk[:, None]
+        pts[:, :, rest[i]] = means[..., None, :] + rng.standard_normal(
+            (len(xk), n, rest.shape[1])) @ factors[i].T
+        return pts
+
+    return known, draw
 
 
 def sobol_closed_game(
@@ -238,47 +251,41 @@ def _sobol_mc(f: Model, spec: GaussianSpec, n: int, seed: int, total_index: bool
 
     Each mask draws from its own SeedSequence((seed, mask, total_index)):
     first the n outer draws, then n_in inner draws per outer draw, in the
-    order of one sampler call per outer draw. The conditional is factorised
-    once per mask, and each model call takes the inner draws of as many
-    outer draws as fit in MAX_ROWS points.
+    order of one sampler call per outer draw. A layer block of masks is
+    conditioned and factored at once, and each model call takes the inner
+    draws of as many outer draws as fit in MAX_ROWS points.
     """
     if n < 2:
         raise GameError("Monte Carlo needs n >= 2")
     n_in = max(64, int(np.sqrt(n)))
+    step = max(1, MAX_ROWS // n_in)
     full = full_mask(f.d)
 
-    def one(mask: int) -> float:
-        cond_mask = (full ^ mask) if total_index else mask
-        if cond_mask == (full if total_index else 0):
-            return 0.0  # the conditional variance, or the inner mean, never varies
-        rng = np.random.default_rng(np.random.SeedSequence((seed, mask, int(total_index))))
-        if cond_mask in (0, full):  # the other one is Var f(X)
-            draws = rng.multivariate_normal(spec.mean, spec.cov, size=n, method="svd")
-            return float(np.var(_outputs(f, draws), ddof=1))
-        known, rest, W, _, Sc = (a[0] for a in _condition_blocks(spec, cond_mask, True))
-        outer = rng.multivariate_normal(
-            spec.mean[known], spec.cov[np.ix_(known, known)], size=n, method="svd"
-        )
-        # the conditional law the sampler gets for every outer draw: the
-        # checked Schur covariance, factored as multivariate_normal does
-        u, s, _ = np.linalg.svd(checked_psd(Sc))
-        factor = u * np.sqrt(s)
-        # one matrix-vector product per outer draw, as gaussian_conditional
-        # computes it: m0 + outer @ W.T rounds differently
-        means = spec.mean[rest] + (W @ (outer - spec.mean[known])[:, :, None])[..., 0]
-        stats = np.empty(n)
-        step = max(1, MAX_ROWS // n_in)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            pts = np.empty((hi - lo, n_in, f.d))
-            pts[:, :, known] = outer[lo:hi, None, :]
-            pts[:, :, rest] = means[lo:hi, None, :] + rng.standard_normal(
-                (hi - lo, n_in, len(rest))) @ factor.T
-            vals = _outputs(f, pts.reshape(-1, f.d)).reshape(hi - lo, n_in)
-            stats[lo:hi] = np.var(vals, axis=1, ddof=1) if total_index else vals.mean(axis=1)
-        return float(np.mean(stats)) if total_index else float(np.var(stats, ddof=1))
+    def worth(masks: np.ndarray) -> np.ndarray:
+        if masks[0] == 0:
+            return np.zeros(1)  # the inner mean, or the conditional variance, never varies
+        if masks[0] == full:  # Var f(X) under both indices: the empty mask's law
+            draw = _conditional_sampler(spec, masks ^ full)[1]
+            pts = draw(0, _rng(seed, full, total_index), np.empty((1, 0)), n)[0]
+            return np.array([np.var(_outputs(f, pts), ddof=1)])
+        known, draw = _conditional_sampler(spec, (full ^ masks) if total_index else masks)
+        # the outer law's covariance block is factored raw, as numpy's sampler factors it
+        outer_factors = _svd_factor(subvector(spec, known)[1])
+        out = np.empty(len(masks))
+        for i, mask in enumerate(masks):
+            rng = _rng(seed, mask, total_index)
+            z = rng.standard_normal((n, known.shape[1]))
+            outer = spec.mean[known[i]] + z @ outer_factors[i].T
+            stats = np.empty(n)
+            for lo in range(0, n, step):
+                pts = draw(i, rng, outer[lo:lo + step], n_in)
+                vals = _outputs(f, pts.reshape(-1, f.d)).reshape(-1, n_in)
+                stats[lo:lo + step] = (np.var(vals, axis=1, ddof=1) if total_index
+                                       else vals.mean(axis=1))
+            out[i] = np.mean(stats) if total_index else np.var(stats, ddof=1)
+        return out
 
-    return _per_coalition(f.d, one)
+    return build_game(f.d, worth)
 
 
 def variance_fixture_spec(rho: float) -> GaussianSpec:

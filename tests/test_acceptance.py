@@ -29,6 +29,7 @@ from coalition_attr import (
     weber_allocate,
     weber_monte_carlo,
 )
+from coalition_attr import cli
 from coalition_attr.cli import main as cli_main
 from coalition_attr.dividends import dividends_fast, dividends_recursive, zeta_reconstruct
 from coalition_attr.expr import ExprError, evaluate, parse, to_str
@@ -220,7 +221,7 @@ def test_criterion_9_parser():
     print("PASS  criterion 9 (parser round-trip and 1e5-string fuzz)")
 
 
-def test_criterion_10_cli_end_to_end(tmp_path, capsys):
+def test_criterion_10_cli_end_to_end(tmp_path, capsys, monkeypatch):
     assert cli_main(["paper-bench"]) == 0
     g2 = tmp_path / "g2.json"
     g2.write_text('{"d":2,"values":[0,1,2,4]}')
@@ -238,6 +239,11 @@ def test_criterion_10_cli_end_to_end(tmp_path, capsys):
     zero = tmp_path / "zero.json"
     zero.write_text('{"d":2,"values":[0,0,1,2]}')
     assert cli_main(["attribute", "--game", str(zero), "--method", "pv"]) == 4
-    assert cli_main(["verify", "--game", str(g2), "--corrupt-dividends"]) == 1
+    # a Moebius round trip off by 1 on the grand coalition fails verify
+    real = cli.zeta_reconstruct
+    monkeypatch.setattr(cli, "zeta_reconstruct",
+                        lambda t: Game(t.d, real(t).values + np.eye(1 << t.d)[-1]))
     capsys.readouterr()
+    assert cli_main(["verify", "--game", str(g2)]) == 1
+    assert "FAIL  moebius round-trip" in capsys.readouterr().out
     print("PASS  criterion 10 (CLI end-to-end and exit codes)")

@@ -356,18 +356,19 @@ def test_pointwise_oracles_take_one_coalition_closed_forms_a_layer(monkeypatch):
     f = Model.from_expression(MODELS[d], d)
     cubic = Model.from_expression(MODELS[d] + " + 0.3*x1^3", d)
     spec, x = ar1_spec(d, 0.5, d), np.zeros(d)
-    pointwise = [
-        lambda: marginal_game(f, np.ones((5, d)), x),
+    # marginal takes one coalition per call, as the benchmark's oracle count expects
+    marginal_game(f, np.ones((5, d)), x)
+    assert batches == [1] * (1 << d)
+    batches.clear()
+    layered = [
+        lambda: conditional_gaussian_game(f, spec, x),
         lambda: sobol_closed_game(cubic, spec, mc=(10, 1)),
         lambda: sobol_total_game(cubic, spec, mc=(10, 1)),
     ]
-    for build_one in pointwise:
+    for build_one in layered:
         build_one()
-        assert batches == [1] * (1 << d)
+        assert batches == [1, 4, 6, 4, 1]
         batches.clear()
-    conditional_gaussian_game(f, spec, x)
-    assert batches == [1, 4, 6, 4, 1]
-    batches.clear()
     # conditional Monte Carlo takes a layer block of at most MAX_ROWS // n masks
     conditional_mc_game(f, spec, x, n=10, seed=1)
     assert batches == [1, 4, 6, 4, 1]

@@ -466,8 +466,12 @@ def test_verify_single_player(tmp_path, capsys):
     assert code == 0
 
 
-def test_verify_fault_injection(g2_file, capsys):
-    code, out = run(capsys, "verify", "--game", g2_file, "--corrupt-dividends")
+def test_verify_fault_injection(g2_file, capsys, monkeypatch):
+    # a Moebius round trip off by 1 on the grand coalition
+    real = cli.zeta_reconstruct
+    monkeypatch.setattr(cli, "zeta_reconstruct",
+                        lambda t: Game(t.d, real(t).values + np.eye(1 << t.d)[-1]))
+    code, out = run(capsys, "verify", "--game", g2_file)
     assert code == 1
     assert "FAIL  moebius round-trip" in out
 
@@ -694,3 +698,40 @@ def test_bad_pmf_exits_3(g3_file, tmp_path, capsys, text, method):
                  "--seed", "1", "--n", "10"]) == 3
     assert "bad pmf" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("extra", [[], ["--x", "1,2"]])
+@pytest.mark.parametrize("d", ["0", "-1", "two"])
+def test_feature_count_below_1_exits_2(tmp_path, capsys, d, extra):
+    data = tmp_path / "bg.csv"
+    data.write_text("0,0\n1,1\n")
+    assert main(["attribute", "--model", "x1", "--d", d, "--value-fn", "marginal",
+                 "--data", str(data), "--method", "shapley", *extra]) == 2
+    assert "--d" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["no-dir", "a-dir"])
+@pytest.mark.parametrize("command", ["attribute", "dividends", "paper-bench"])
+def test_unwritable_report_path_exits_3(g2_file, tmp_path, capsys, command, target):
+    out = str(tmp_path / target)
+    argv = {"attribute": ["--game", g2_file, "--method", "shapley"],
+            "dividends": ["--game", g2_file], "paper-bench": []}[command]
+    assert main([command, *argv, "--out", out]) == 3
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ['{"mean":[true,0],"cov":[[1,0],[0,1]]}',
+                                  '{"mean":["1",0],"cov":[[1,0],[0,1]]}',
+                                  '{"mean":[[0,0]],"cov":[[1,0],[0,1]]}',
+                                  '{"mean":[0,0],"cov":[[1,0],[0,true]]}',
+                                  '{"mean":[0,0],"cov":[[1,0],[0,"1"]]}',
+                                  '{"mean":[0,0],"cov":[1,0,0,1]}',
+                                  '{"mean":0,"cov":[[1]]}'],
+                         ids=["bool-mean", "string-mean", "nested-mean", "bool-cov",
+                              "string-cov", "flat-cov", "scalar-mean"])
+def test_gaussian_spec_entries_of_the_wrong_json_type_exit_3(tmp_path, capsys, spec):
+    p = tmp_path / "spec.json"
+    p.write_text(spec)
+    assert main(["attribute", "--model", "x1+x2", "--gaussian", str(p), "--x", "1,1",
+                 "--value-fn", "cond-gauss", "--method", "shapley"]) == 3
+    assert "bad Gaussian spec" in capsys.readouterr().err

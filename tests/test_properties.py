@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 from coalition_attr import (
     Explicit,
     Game,
+    Uniform,
     WeightSystem,
     causal_orderings,
     dividends_fast,
@@ -28,9 +29,12 @@ from coalition_attr import (
     pme,
     proportional_value,
     shapley_direct,
+    shapley_dividends,
+    shapley_permutation,
     weber_allocate,
     zeta_reconstruct,
 )
+from coalition_attr.cli import verify_game
 from coalition_attr.games import EXACT_TOL, magnitude
 
 REL = 1e-10
@@ -155,6 +159,33 @@ def test_pv_and_pme_scale_by_powers_of_two_bit_for_bit(g, w, k):
     h = dual_game(w)
     scaled = pme(Game(h.d, np.ldexp(h.values, k))).payoffs
     assert np.array_equal(scaled, np.ldexp(pme(h).payoffs, k))
+
+
+@st.composite
+def normal_games(draw, max_d=6):
+    """Games whose nonzero worths lie within a factor 100 of the game's scale,
+    so that scaling by 2^k, |k| <= 900, keeps every worth and payoff normal."""
+    d = draw(st.integers(1, max_d))
+    scale = 10.0 ** draw(st.integers(-8, 9))
+    sizes = st.floats(0.01, 1.0)
+    elements = st.one_of(st.just(0.0), sizes, sizes.map(lambda x: -x))
+    return Game(d, scale * draw(hnp.arrays(np.float64, 1 << d, elements=elements)))
+
+
+@core
+@given(normal_games(), PRESETS, st.integers(0, 2**32 - 1), st.integers(-900, 900))
+def test_linear_methods_dividends_and_verify_scale_by_powers_of_two_bit_for_bit(
+        g, preset, seed, k):
+    p, weights = order_distribution(g.d, seed), weight_system(preset, g.d, seed)
+    routes = [shapley_direct, shapley_permutation, shapley_dividends,
+              lambda h: weber_allocate(h, Uniform()), lambda h: weber_allocate(h, p),
+              lambda h: harsanyi_allocate(h, weights)]
+    scaled = Game(g.d, np.ldexp(g.values, k))
+    for route in routes:
+        assert np.array_equal(route(scaled).payoffs, np.ldexp(route(g).payoffs, k))
+    assert np.array_equal(dividends_fast(scaled).dividends,
+                          np.ldexp(dividends_fast(g).dividends, k))
+    assert verify_game(scaled) == verify_game(g)
 
 
 @core
