@@ -27,14 +27,12 @@ from .games import (
     dual_game,
     efficiency_gap,
     full_mask,
-    mask_of,
     members,
 )
 from .gaussian import GaussianSpec, gaussian_conditional
 from .orderings import (
     Explicit,
     PartialOrderUniform,
-    SeededSampler,
     SupportTooLargeError,
     Uniform,
     causal_orderings,
@@ -58,7 +56,6 @@ __all__ = [
     "GaussianSpec",
     "Model",
     "PartialOrderUniform",
-    "SeededSampler",
     "SupportTooLargeError",
     "Uniform",
     "WeightSystem",
@@ -76,7 +73,6 @@ __all__ = [
     "harsanyi_allocate",
     "marginal_game",
     "marginal_vector",
-    "mask_of",
     "members",
     "pme",
     "proportional_value",

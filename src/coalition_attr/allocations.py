@@ -17,7 +17,7 @@ import orjson
 from .dividends import dividends_fast
 from .games import (EXACT_TOL, Allocation, Game, GameError, coalition_label, dual_game, json_int,
                     json_number, layers, magnitude, popcount_table)
-from .orderings import Explicit, PartialOrderUniform, RandomOrderDistribution, Uniform
+from .orderings import Explicit, RandomOrderDistribution, Uniform
 
 WEIGHT_TOL = 1e-9
 
@@ -81,8 +81,6 @@ def weber_allocate(g: Game, p: RandomOrderDistribution) -> Allocation:
         return Allocation(probs @ _batch_marginals(g, orders), "weber")
     if isinstance(p, Uniform):
         return Allocation(shapley_direct(g).payoffs, "weber")
-    if not isinstance(p, PartialOrderUniform):
-        raise GameError("opaque samplers cannot be expanded; use weber_monte_carlo")
     if p.d != g.d:
         raise GameError("player count mismatch")
     return Allocation(_marginal_pass(g, p.reach_counts() / p.counts[0], p.counts), "weber")

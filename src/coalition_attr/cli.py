@@ -75,13 +75,6 @@ def _read_bytes(path: str) -> bytes:
         raise CliError(f"cannot read {path}: {e}", EXIT_DATA) from e
 
 
-def _read_file(path: str) -> str:
-    try:
-        return _read_bytes(path).decode()
-    except UnicodeDecodeError as e:
-        raise CliError(f"cannot read {path}: {e}", EXIT_DATA) from e
-
-
 def _load_json(path: str, parse, what: str, numerical: bool = False):
     """Parse a JSON input file from its bytes (orjson checks the UTF-8); a
     structurally invalid one is a data error, and so is one that fails
@@ -95,7 +88,10 @@ def _load_json(path: str, parse, what: str, numerical: bool = False):
 
 
 def _load_csv_matrix(path: str) -> np.ndarray:
-    text = _read_file(path)
+    try:  # "-sig": without the byte order mark that spreadsheet exports start with
+        text = _read_bytes(path).decode("utf-8-sig")
+    except UnicodeDecodeError as e:
+        raise CliError(f"cannot read {path}: {e}", EXIT_DATA) from e
     try:
         rows = list(csv.reader(io.StringIO(text)))
         if not rows:
@@ -108,6 +104,10 @@ def _load_csv_matrix(path: str) -> np.ndarray:
         data = np.array([[float(c) for c in row] for row in rows[start:] if row])
         if data.size == 0:
             raise ValueError("no data rows")
+        if not np.all(np.isfinite(data)):
+            i, j, c = next((i, j, c) for i, row in enumerate(rows[start:], start + 1)
+                           for j, c in enumerate(row, 1) if not math.isfinite(float(c)))
+            raise ValueError(f"non-finite entry {c!r} at row {i}, column {j}")
         return data
     except ValueError as e:
         raise CliError(f"bad CSV {path}: {e}", EXIT_DATA) from e
@@ -182,11 +182,13 @@ VALUE_FNS = {
 
 
 def _order_distribution(d: int, args):
-    """Random-order distribution from --pmf, else --dag, else uniform."""
+    """Random-order distribution from --pmf or --dag, else uniform."""
+    if args.pmf and args.dag:
+        raise CliError("at most one of --pmf or --dag", EXIT_CONFIG)
     if args.pmf:
         pmf = _load_json(args.pmf, Explicit.from_json, "pmf")
-        if len(pmf.orders[0]) != d:
-            raise CliError(f"bad pmf {args.pmf}: orders of {len(pmf.orders[0])} players "
+        if pmf.orders.shape[1] != d:
+            raise CliError(f"bad pmf {args.pmf}: orders of {pmf.orders.shape[1]} players "
                            f"for a {d}-player game", EXIT_DATA)
         return pmf
     if args.dag:

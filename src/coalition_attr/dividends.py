@@ -8,9 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import orjson
 
-from .games import Game, _frozen_table, json_int, json_numbers, popcount_table
+from .games import Game, _frozen_table, popcount_table
 
 
 @dataclass(frozen=True)
@@ -33,15 +32,6 @@ class DividendTable:
         object.__setattr__(t, "d", d)
         object.__setattr__(t, "dividends", _frozen_table(d, dividends, "dividend"))
         return t
-
-    def to_json(self) -> str:
-        return orjson.dumps({"d": self.d, "dividends": self.dividends.tolist()}).decode()
-
-    @classmethod
-    def from_json(cls, text: bytes | str) -> "DividendTable":
-        obj = orjson.loads(text)
-        return cls._adopt(json_int(obj["d"], "player count d"),
-                          json_numbers(obj["dividends"], "dividends"))
 
 
 def dividends_recursive(g: Game) -> DividendTable:

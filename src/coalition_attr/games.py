@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 import orjson
@@ -47,13 +47,6 @@ def members(mask: int) -> tuple[int, ...]:
         mask >>= 1
         j += 1
     return tuple(out)
-
-
-def mask_of(players: Iterable[int]) -> int:
-    m = 0
-    for j in players:
-        m |= 1 << j
-    return m
 
 
 def coalition_label(mask: int) -> str:
@@ -115,13 +108,6 @@ class Game:
         object.__setattr__(g, "d", d)
         object.__setattr__(g, "values", _frozen_table(d, values))
         return g
-
-    @property
-    def grand(self) -> int:
-        return full_mask(self.d)
-
-    def value(self, mask: int) -> float:
-        return float(self.values[mask])
 
     @property
     def v_empty(self) -> float:

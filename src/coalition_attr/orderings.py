@@ -1,15 +1,15 @@
 """Random order distributions over player permutations.
 
-Four forms: uniform over all d! orderings, an explicit pmf, uniform over
-the linear extensions of a partial order (causal constraints), and an
-opaque seeded sampler. `expand(d)` lists a support as an (orders, probs)
-array pair. Every form samples the same way: `sample(d, rng, m)` draws a
-whole (m, d) array of orders from one seeded stream.
+Three forms: uniform over all d! orderings, an explicit pmf, and uniform
+over the linear extensions of a partial order (causal constraints).
+`expand(d)` lists a support as an (orders, probs) array pair. Every form
+samples the same way: `sample(d, rng, m)` draws a whole (m, d) array of
+orders from one seeded stream.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import orjson
@@ -58,37 +58,42 @@ class Uniform:
         return rng.permuted(np.tile(np.arange(d), (m, 1)), axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Explicit:
-    """Finite pmf over explicitly listed orderings (0-indexed players)."""
+    """Finite pmf over explicitly listed orderings (0-indexed players), held as
+    one read-only array pair: the (n, d) int64 orders in lexicographic order
+    and their float64 probabilities."""
 
-    orders: tuple[tuple[int, ...], ...]
-    probs: tuple[float, ...]
+    orders: np.ndarray
+    probs: np.ndarray
 
     def __post_init__(self):
-        if len(self.orders) != len(self.probs) or not self.orders:
+        n = len(self.orders)
+        d = len(self.orders[0]) if n else 0
+        if n != len(self.probs) or not d:
             raise GameError("explicit pmf needs matching, nonempty orders and probs")
-        d = len(self.orders[0])
-        seen = set()
-        for pi in self.orders:
-            if sorted(pi) != list(range(d)):
-                raise GameError(f"invalid ordering {pi}")
-            if pi in seen:
-                raise GameError(f"duplicate ordering {pi}")
-            seen.add(pi)
-        if not all(0 <= p <= 1 for p in self.probs):  # NaN fails too
+        try:
+            raw = np.array(self.orders).reshape(n, d)
+        except ValueError:  # rows of different lengths
+            pi = next(pi for pi in self.orders if sorted(pi) != list(range(d)))
+            raise GameError(f"invalid ordering {pi}") from None
+        valid = (np.sort(raw, axis=1) == np.arange(d)).all(axis=1)
+        if not valid.all():
+            raise GameError(f"invalid ordering {self.orders[np.argmin(valid)]}")
+        order = np.lexsort(raw.T[::-1])  # stable: equal rows keep their input order
+        orders = raw[order].astype(np.int64, copy=False)
+        repeats = order[1:][(orders[1:] == orders[:-1]).all(axis=1)]
+        if repeats.size:
+            raise GameError(f"duplicate ordering {self.orders[repeats.min()]}")
+        probs = np.array(self.probs, dtype=float)[order]
+        if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails too
             raise GameError("pmf probability outside [0, 1]")
         total = sum(self.probs)
         if abs(total - 1.0) > PMF_TOL:
             raise GameError(f"pmf sums to {total}, expected 1")
-        # canonical ordering for reproducible iteration
-        pairs = sorted(zip(self.orders, self.probs))
-        object.__setattr__(self, "orders", tuple(o for o, _ in pairs))
-        object.__setattr__(self, "probs", tuple(p for _, p in pairs))
-
-    @classmethod
-    def point_mass(cls, order: Sequence[int]) -> "Explicit":
-        return cls((tuple(order),), (1.0,))
+        for name, a in (("orders", orders), ("probs", probs)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @classmethod
     def from_json(cls, text: bytes | str) -> "Explicit":
@@ -99,9 +104,9 @@ class Explicit:
         return cls(orders, probs)
 
     def expand(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        if len(self.orders[0]) != d:
+        if self.orders.shape[1] != d:
             raise GameError("pmf ordering length does not match player count")
-        return np.array(self.orders, dtype=np.int64), np.array(self.probs)
+        return self.orders, self.probs
 
     def sample(self, d: int, rng: np.random.Generator, m: int) -> np.ndarray:
         orders, probs = self.expand(d)
@@ -158,9 +163,6 @@ class PartialOrderUniform:
                 view[:, int(v > u), :, int(v < u)] = False
         return np.flatnonzero(keep)
 
-    def num_extensions(self) -> int:
-        return int(self.counts[0])
-
     def enumerate_extensions(self) -> Iterator[tuple[int, ...]]:
         """Every linear extension, in lexicographic order."""
         yield from map(tuple, _linear_extensions(self.pred_masks).tolist())
@@ -204,24 +206,7 @@ class PartialOrderUniform:
         return orders
 
 
-@dataclass(frozen=True)
-class SeededSampler:
-    """Opaque ordering sampler; draw(rng) must return a permutation of 0..d-1."""
-
-    d: int
-    draw: Callable[[np.random.Generator], Sequence[int]]
-
-    def sample(self, d: int, rng: np.random.Generator, m: int) -> np.ndarray:
-        orders = np.empty((m, d), dtype=np.int64)
-        for i in range(m):
-            pi = tuple(int(j) for j in self.draw(rng))
-            if sorted(pi) != list(range(d)):
-                raise GameError(f"sampler returned invalid ordering {pi}")
-            orders[i] = pi
-        return orders
-
-
-RandomOrderDistribution = Uniform | Explicit | PartialOrderUniform | SeededSampler
+RandomOrderDistribution = Uniform | Explicit | PartialOrderUniform
 
 
 def causal_orderings(d: int, edges: Sequence[tuple[int, int]]) -> PartialOrderUniform:

@@ -8,7 +8,6 @@ from coalition_attr import (
     Explicit,
     Game,
     GameError,
-    SeededSampler,
     Uniform,
     WeightSystem,
     causal_orderings,
@@ -137,25 +136,20 @@ def test_dummy_player_gets_zero():
     base = rng.normal(size=4)
     vals = np.array([base[m & 0b11] for m in range(8)])
     g = Game(3, vals)
-    for p in (Uniform(), Explicit.point_mass((2, 0, 1)), causal_orderings(3, [(0, 1)])):
+    for p in (Uniform(), Explicit(((2, 0, 1),), (1.0,)), causal_orderings(3, [(0, 1)])):
         assert weber_allocate(g, p).payoffs[2] == pytest.approx(0.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------- Weber
 
 def test_weber_point_masses(g2):
-    assert np.allclose(weber_allocate(g2, Explicit.point_mass((0, 1))).payoffs, [1, 3])
-    assert np.allclose(weber_allocate(g2, Explicit.point_mass((1, 0))).payoffs, [2, 2])
+    assert np.allclose(weber_allocate(g2, Explicit(((0, 1),), (1.0,))).payoffs, [1, 3])
+    assert np.allclose(weber_allocate(g2, Explicit(((1, 0),), (1.0,))).payoffs, [2, 2])
 
 
 def test_weber_uniform_is_shapley(g2):
     assert np.allclose(weber_allocate(g2, Uniform()).payoffs, shapley_direct(g2).payoffs,
                        atol=1e-14)
-
-
-def test_weber_rejects_sampler():
-    with pytest.raises(GameError, match="weber_monte_carlo"):
-        weber_allocate(Game(2, np.zeros(4)), SeededSampler(2, lambda rng: (0, 1)))
 
 
 @pytest.mark.parametrize("d", [9, 10, 11, 12])
@@ -220,8 +214,7 @@ def test_weber_mc_close_to_exact(g2):
 
 
 def test_weber_mc_point_mass_exact(g2):
-    p = SeededSampler(2, lambda rng: (1, 0))
-    a = weber_monte_carlo(g2, p, 100, seed=0)
+    a = weber_monte_carlo(g2, Explicit(((1, 0),), (1.0,)), 100, seed=0)
     assert np.allclose(a.payoffs, [2, 2], atol=1e-14)
     assert np.allclose(a.stderr, 0.0, atol=1e-14)
 

@@ -352,6 +352,37 @@ def test_exit_3_on_undecodable_csv(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_csv_byte_order_mark_is_not_part_of_the_first_row(tmp_path, capsys):
+    argv = ["attribute", "--model", "x1+x2", "--value-fn", "marginal", "--x", "0,0",
+            "--method", "shapley", "--data"]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(b"1,2\n3,4\n")
+    marked.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+    code, want = run(capsys, *argv, str(plain))
+    assert code == 0 and json.loads(want)["v_empty"] == 5.0
+    assert run(capsys, *argv, str(marked)) == (0, want)
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_csv_entry_exits_3(tmp_path, capsys, entry):
+    data = tmp_path / "bg.csv"
+    data.write_text(f"a,b\n0,0\n2,{entry}\n")
+    assert main(["attribute", "--model", "x1 + x2", "--value-fn", "marginal",
+                 "--data", str(data), "--x", "1,2", "--method", "shapley"]) == 3
+    err = capsys.readouterr().err
+    assert f"bad CSV {data}: non-finite entry '{entry}' at row 3, column 2" in err
+
+
+@pytest.mark.parametrize("method", ["weber", "weber-mc"])
+def test_pmf_with_dag_exits_2(g2_file, tmp_path, capsys, method):
+    pmf, dag = tmp_path / "pmf.json", tmp_path / "dag.json"
+    pmf.write_text('[{"order":[2,1],"p":1.0}]')
+    dag.write_text('{"edges":[[1,2]]}')
+    assert main(["attribute", "--game", g2_file, "--method", method, "--pmf", str(pmf),
+                 "--dag", str(dag), "--seed", "1", "--n", "10"]) == 2
+    assert "at most one of --pmf or --dag" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
 def test_exit_2_on_invalid_thread_count(g2_file, monkeypatch, capsys, value):
     monkeypatch.setenv("COALITION_ATTR_THREADS", value)

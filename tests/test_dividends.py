@@ -6,7 +6,6 @@ import pytest
 from coalition_attr import (
     DividendTable,
     Game,
-    GameError,
     dividends_fast,
     dividends_recursive,
     zeta_reconstruct,
@@ -113,11 +112,6 @@ def test_sum_identities_random():
         assert t.dividends[0] == pytest.approx(g.v_empty)
 
 
-def test_table_json_roundtrip(g2):
-    t = dividends_fast(g2)
-    assert np.array_equal(DividendTable.from_json(t.to_json()).dividends, t.dividends)
-
-
 def test_fast_dividends_are_adopted_without_a_copy():
     g = Game(16, np.random.default_rng(3).normal(size=1 << 16))
     tracemalloc.start()
@@ -129,16 +123,3 @@ def test_fast_dividends_are_adopted_without_a_copy():
     assert not t.dividends.flags.writeable
     # the transform's one table; a copy of it would double the peak
     assert peak < 1.5 * t.dividends.nbytes
-
-
-@pytest.mark.parametrize("d", ["true", "1.9", '"1"'])
-def test_dividend_json_player_count_must_be_an_integer(d):
-    with pytest.raises(TypeError, match="player count d"):
-        DividendTable.from_json('{"d":%s,"dividends":[0,1]}' % d)
-
-
-@pytest.mark.parametrize("dividends", ['["1",true]', "[1,false]", '[1,"2"]', "[[1],2]",
-                                       "[1,null]", '"12"'])
-def test_dividend_json_entries_must_be_numbers(dividends):
-    with pytest.raises(GameError, match='"dividends" must be a flat list of numbers'):
-        DividendTable.from_json('{"d":1,"dividends":%s}' % dividends)

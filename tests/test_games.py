@@ -16,7 +16,6 @@ from coalition_attr import (
     coalition_label,
     dual_game,
     efficiency_gap,
-    mask_of,
     members,
 )
 from coalition_attr import dividends_fast, games, zeta_reconstruct
@@ -27,9 +26,17 @@ from conftest import g3_fixture, random_game
 
 def test_mask_helpers():
     assert members(0b101) == (0, 2)
-    assert mask_of([0, 2]) == 0b101
     assert coalition_label(0b101) == "{1,3}"
     assert coalition_label(0) == "{}"
+
+
+def test_every_public_name_resolves():
+    import coalition_attr
+
+    assert all(hasattr(coalition_attr, name) for name in coalition_attr.__all__)
+    namespace = {}
+    exec("from coalition_attr import *", namespace)
+    assert set(coalition_attr.__all__) <= set(namespace)
 
 
 def test_build_game_cardinality():
@@ -88,7 +95,7 @@ def test_dual_reference(g2):
 
 def test_dual_g3_hand_value():
     w = dual_game(g3_fixture(0.5))
-    assert w.value(0b001) == pytest.approx(0.375, abs=1e-15)
+    assert w.values[0b001] == pytest.approx(0.375, abs=1e-15)
 
 
 def test_dual_involution_when_empty_is_zero():

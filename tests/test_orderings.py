@@ -43,6 +43,8 @@ def test_explicit_validation():
         Explicit(((0, 1), (0, 1)), (0.5, 0.5))  # duplicate
     with pytest.raises(GameError):
         Explicit(((0, 1), (1, 0)), (1.5, -0.5))  # negative
+    with pytest.raises(GameError, match="nonempty orders"):
+        Explicit(((),), (1.0,))  # an order of no players
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -53,13 +55,42 @@ def test_explicit_rejects_non_finite_probability(bad):
 
 def test_explicit_canonical_order():
     e = Explicit(((1, 0), (0, 1)), (0.25, 0.75))
-    assert e.orders == ((0, 1), (1, 0))
-    assert e.probs == (0.75, 0.25)
+    assert e.orders.tolist() == [[0, 1], [1, 0]] and e.probs.tolist() == [0.75, 0.25]
+
+
+def test_explicit_holds_one_read_only_array_pair_whatever_the_input_order():
+    rng = np.random.default_rng(4)
+    orders = list({tuple(rng.permutation(5).tolist()) for _ in range(30)})
+    probs = rng.dirichlet(np.ones(len(orders))).tolist()
+    p = Explicit(tuple(orders), tuple(probs))
+    # the oracle: the sorted (order, probability) pairs
+    want = sorted(zip(orders, probs))
+    assert p.orders.dtype == np.int64 and p.probs.dtype == np.float64
+    assert p.orders.tolist() == [list(o) for o, _ in want]
+    assert p.probs.tolist() == [q for _, q in want]
+    assert not p.orders.flags.writeable and not p.probs.flags.writeable
+    assert p.expand(5)[0] is p.orders and p.expand(5)[1] is p.probs
+    for k in range(3):
+        shuffled = rng.permutation(len(orders))
+        q = Explicit(tuple(orders[i] for i in shuffled), tuple(probs[i] for i in shuffled))
+        assert np.array_equal(q.orders, p.orders) and np.array_equal(q.probs, p.probs)
+        assert np.array_equal(q.sample(5, np.random.default_rng(k), 200),
+                              p.sample(5, np.random.default_rng(k), 200))
+
+
+@pytest.mark.parametrize("orders, name", [
+    (((0, 1), (0,)), r"\(0,\)"),
+    (((0, 1, 2), (1, 0)), r"\(1, 0\)"),
+    (((0, 0), (0, 1)), r"\(0, 0\)"),
+], ids=["shorter-row", "longer-first-row", "repeated-player"])
+def test_explicit_names_the_invalid_ordering(orders, name):
+    with pytest.raises(GameError, match="invalid ordering " + name):
+        Explicit(orders, (0.5, 0.5))
 
 
 def test_explicit_json_one_indexed():
     e = Explicit.from_json('[{"order":[2,1,3],"p":0.5},{"order":[1,2,3],"p":0.5}]')
-    assert (1, 0, 2) in e.orders
+    assert [1, 0, 2] in e.orders.tolist()
 
 
 def test_empty_dag_is_uniform_over_all_orders():
@@ -73,7 +104,7 @@ def test_single_edge_extensions():
     p = causal_orderings(3, [(0, 1)])
     exts = set(p.enumerate_extensions())
     assert exts == {pi for pi in itertools.permutations(range(3)) if pi.index(0) < pi.index(1)}
-    assert p.num_extensions() == 3
+    assert int(p.counts[0]) == 3
 
 
 def test_total_chain_point_mass():
@@ -95,7 +126,7 @@ def test_transitive_constraint_respected():
 
 def test_partial_order_sampling_is_uniform():
     p = causal_orderings(4, [(0, 1)])
-    n_ext = p.num_extensions()
+    n_ext = int(p.counts[0])
     assert n_ext == 12
     rng = np.random.default_rng(11)
     counts = {}
@@ -113,7 +144,7 @@ def test_partial_order_sampling_is_uniform():
 def test_expand_matches_counts():
     p = causal_orderings(5, [(0, 2), (1, 2), (2, 3)])
     orders, probs = p.expand(5)
-    assert orders.shape == (p.num_extensions(), 5) and probs.shape == (p.num_extensions(),)
+    assert orders.shape == (int(p.counts[0]), 5) and probs.shape == (int(p.counts[0]),)
     assert probs.sum() == pytest.approx(1.0)
     assert list(map(tuple, orders.tolist())) == list(p.enumerate_extensions())
 
@@ -183,7 +214,7 @@ def test_batched_dag_sampling_matches_single_draw_walk(seed):
         got = p.sample(d, np.random.default_rng([seed, d]), 150)
         assert got.dtype == np.int64
         assert np.array_equal(got, want), d
-        assert p.num_extensions() == n_ext
+        assert int(p.counts[0]) == n_ext
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -205,7 +236,7 @@ def test_enumeration_is_lexicographic_over_random_dags():
                 if all(pi.index(u) < pi.index(w) for u, w in edges)]
         p = causal_orderings(d, edges)
         assert list(p.enumerate_extensions()) == want
-        assert p.num_extensions() == len(want)
+        assert int(p.counts[0]) == len(want)
 
 
 def test_partial_order_rejects_cycles_and_too_many_players():
@@ -273,7 +304,7 @@ def _dag(kind, d, density, seed):
 def _assert_matches_reference(d, edges, seed, m):
     p = causal_orderings(d, edges)
     want = _reference_counts(d, p.pred_masks)
-    assert p.num_extensions() == int(want[0])
+    assert int(p.counts[0]) == int(want[0])
     # only the down-sets are counted; the sampler reads nothing else
     assert np.array_equal(p.counts, np.where(_is_down_set(d, p.pred_masks), want, 0))
     got = p.sample(d, np.random.default_rng(seed), m)

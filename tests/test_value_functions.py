@@ -98,15 +98,15 @@ def test_marginal_game_additive_closed_form():
     g = marginal_game(f, data, x)
     for mask in range(8):
         want = sum(x[j] if (mask >> j) & 1 else m[j] for j in range(3))
-        assert g.value(mask) == pytest.approx(want, abs=1e-12)
+        assert g.values[mask] == pytest.approx(want, abs=1e-12)
 
 
 def test_marginal_game_single_row():
     f = Model.from_expression("x1*x2", 2)
     data = np.array([[3.0, 5.0]])
     g = marginal_game(f, data, np.array([2.0, 1.0]))
-    assert g.value(0b01) == pytest.approx(2.0 * 5.0)
-    assert g.value(0b10) == pytest.approx(3.0 * 1.0)
+    assert g.values[0b01] == pytest.approx(2.0 * 5.0)
+    assert g.values[0b10] == pytest.approx(3.0 * 1.0)
 
 
 def test_marginal_game_rejects_empty_data():
@@ -122,7 +122,7 @@ def test_conditional_gaussian_hand_values():
     rho, x1, x2 = 0.4, 1.3, -0.7
     g = conditional_gaussian_game(f, pair_spec(rho), np.array([x1, x2]))
     assert g.v_empty == pytest.approx(rho, abs=1e-12)
-    assert g.value(0b01) == pytest.approx(x1 + rho * x1 + rho * x1**2, abs=1e-12)
+    assert g.values[0b01] == pytest.approx(x1 + rho * x1 + rho * x1**2, abs=1e-12)
     assert g.v_full == pytest.approx(x1 + x2 + x1 * x2)
 
 
@@ -207,8 +207,8 @@ def test_sobol_closed_normalized_grand_is_one():
 def test_sobol_independent_additive_split():
     f = Model.from_expression("x1 + x2", 2)
     g = sobol_closed_game(f, pair_spec(0.0), normalize=True)
-    assert g.value(0b01) == pytest.approx(0.5)
-    assert g.value(0b10) == pytest.approx(0.5)
+    assert g.values[0b01] == pytest.approx(0.5)
+    assert g.values[0b10] == pytest.approx(0.5)
 
 
 def test_sobol_total_is_dual_of_closed():
@@ -227,7 +227,7 @@ def test_sobol_total_grand_values():
     assert sobol_total_game(f, spec, normalize=False).v_full == pytest.approx(2.0, abs=1e-12)
     g = sobol_total_game(f, spec, normalize=True)
     assert g.v_full == pytest.approx(1.0, abs=1e-12)
-    assert g.value(0b100) == pytest.approx(0.0, abs=1e-12)  # dual of v({1,2}) = 1
+    assert g.values[0b100] == pytest.approx(0.0, abs=1e-12)  # dual of v({1,2}) = 1
 
 
 def test_sobol_zero_variance_rejected():
