@@ -87,6 +87,14 @@ def _load_json(path: str, parse, what: str, numerical: bool = False):
         raise CliError(f"bad {what} {path}: {e}", EXIT_DATA) from e
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _load_csv_matrix(path: str) -> np.ndarray:
     try:  # "-sig": without the byte order mark that spreadsheet exports start with
         text = _read_bytes(path).decode("utf-8-sig")
@@ -96,11 +104,7 @@ def _load_csv_matrix(path: str) -> np.ndarray:
         rows = list(csv.reader(io.StringIO(text)))
         if not rows:
             raise ValueError("empty file")
-        start = 0
-        try:  # optional header row
-            [float(c) for c in rows[0]]
-        except ValueError:
-            start = 1
+        start = 0 if any(map(_is_number, rows[0])) else 1  # a header has no number
         data = np.array([[float(c) for c in row] for row in rows[start:] if row])
         if data.size == 0:
             raise ValueError("no data rows")
@@ -161,8 +165,16 @@ def _mc_seed(args) -> int:
 
 def _sobol(sobol, model: Model, spec: GaussianSpec, args) -> Game:
     """A Sobol game: closed form for a certified quadratic, else Monte Carlo."""
-    mc = None if model.monos is not None and model.degree <= 2 else (args.n, _mc_seed(args))
+    mc = None if model.quad is not None else (args.n, _mc_seed(args))
     return sobol(model, spec, normalize=not args.unnormalized, mc=mc)
+
+
+def _certified(model: Model) -> Model:
+    """The model, when it is a certified quadratic: cond-gauss has no Monte Carlo fallback."""
+    if model.quad is None:
+        raise CliError("cond-gauss needs a model that expands to degree <= 2; use cond-mc",
+                       EXIT_CONFIG)
+    return model
 
 
 # Each --value-fn's route, (model, spec, x, args) -> Game, and the options it
@@ -171,7 +183,7 @@ def _sobol(sobol, model: Model, spec: GaussianSpec, args) -> Game:
 VALUE_FNS = {
     "marginal": (lambda f, spec, x, args: marginal_game(f, _load_csv_matrix(args.data), x),
                  ("data", "x")),
-    "cond-gauss": (lambda f, spec, x, args: conditional_gaussian_game(f, spec, x),
+    "cond-gauss": (lambda f, spec, x, args: conditional_gaussian_game(_certified(f), spec, x),
                    ("gaussian", "x")),
     "cond-mc": (lambda f, spec, x, args: conditional_mc_game(f, spec, x, args.n, _mc_seed(args)),
                 ("gaussian", "x")),
@@ -208,17 +220,18 @@ def _weber_mc(g: Game, args) -> Allocation:
     return weber_monte_carlo(g, _order_distribution(g.d, args), args.n, seed, threads=_threads())
 
 
-# Each --method's route, (game, args) -> Allocation, in --help order. Routes look
-# allocations up in this module's globals when called, so a wrapped global is seen.
+# Each --method's route, (game, args) -> Allocation, and the file options it
+# reads, in --help order. Routes look allocations up in this module's globals
+# when called, so a wrapped global is seen.
 METHODS = {
-    "shapley": lambda g, args: shapley_direct(g),
-    "shapley-perm": lambda g, args: shapley_permutation(g),
-    "shapley-div": lambda g, args: shapley_dividends(g),
-    "weber": lambda g, args: weber_allocate(g, _order_distribution(g.d, args)),
-    "weber-mc": _weber_mc,
-    "harsanyi": lambda g, args: harsanyi_allocate(g, _weights(args)),
-    "pv": lambda g, args: proportional_value(g),
-    "pme": lambda g, args: pme(g),
+    "shapley": (lambda g, args: shapley_direct(g), ()),
+    "shapley-perm": (lambda g, args: shapley_permutation(g), ()),
+    "shapley-div": (lambda g, args: shapley_dividends(g), ()),
+    "weber": (lambda g, args: weber_allocate(g, _order_distribution(g.d, args)), ("pmf", "dag")),
+    "weber-mc": (_weber_mc, ("pmf", "dag")),
+    "harsanyi": (lambda g, args: harsanyi_allocate(g, _weights(args)), ("weights",)),
+    "pv": (lambda g, args: proportional_value(g), ()),
+    "pme": (lambda g, args: pme(g), ()),
 }
 
 
@@ -247,11 +260,15 @@ def _write_report(report: dict, args) -> None:
 
 
 def cmd_attribute(args) -> int:
+    route, reads = METHODS[args.method]
+    for option in ("pmf", "dag", "weights"):
+        if getattr(args, option) and option not in reads:
+            raise CliError(f"--{option} is not read by --method {args.method}", EXIT_CONFIG)
     g, echo = _build_game(args)
     # pme is the one method that dualizes internally; --on-dual dualizes the others
     dual_inside = args.method == "pme"
     target = dual_game(g) if (args.on_dual and not dual_inside) else g
-    alloc = METHODS[args.method](target, args)
+    alloc = route(target, args)
     allocated = dual_game(target) if dual_inside else target
     gap = efficiency_gap(allocated, alloc)
     if not math.isfinite(gap):

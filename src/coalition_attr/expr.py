@@ -243,75 +243,72 @@ def _evaluate(node: Expr, cols: np.ndarray, check_each: bool):
 
 
 def _mul(p, q):
-    """Product of two expanded polynomials, like terms merged."""
+    """Product of two expansions, like terms merged; None past degree 2."""
+    if max(map(len, p), default=0) + max(map(len, q), default=0) > 2:
+        return None
     out: dict[tuple[int, ...], float] = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            key = tuple(a + b for a, b in zip(ea, eb))
+    for ka, ca in p.items():
+        for kb, cb in q.items():
+            key = tuple(sorted(ka + kb))
             out[key] = out.get(key, 0.0) + ca * cb
     return out
 
 
-def monomials(e: Expr, d: int) -> Optional[dict[tuple[int, ...], float]]:
-    """Expanded normal form as exponent-vector -> coefficient, like terms
-    merged; None when the tree is not a polynomial (division by a
-    non-constant or by zero). A non-finite coefficient in any subtree's
-    expansion raises ExprError, as a non-finite value does in `evaluate`."""
-    zero = tuple([0] * d)
+def monomials(e: Expr, d: int) -> Optional[tuple[float, np.ndarray, np.ndarray]]:
+    """The quadratic form (c, b, M), e(x) = c + b.x + x'Mx with M symmetric;
+    None when the tree is not a polynomial (division by a non-constant or by
+    zero) or any subexpression expands past degree 2. Terms are keyed by
+    sorted variable indices, (), (i,) or (i, j), and zero terms dropped.
+    Powers of a constant use float_power, as `evaluate` does. A non-finite
+    coefficient in any subtree's expansion raises ExprError, as a non-finite
+    value does in `evaluate`."""
 
     def rec(node: Expr):
         p = expand(node)
-        if p is not None and not all(map(math.isfinite, p.values())):
+        if p is None:
+            return None
+        if not all(map(math.isfinite, p.values())):
             raise ExprError("non-finite intermediate value", 0)
-        return p
+        return {k: v for k, v in p.items() if v != 0.0}
 
     def expand(node: Expr):
         if isinstance(node, Lit):
-            return {zero: node.value}
+            return {(): node.value}
         if isinstance(node, Var):
-            key = tuple(1 if i == node.index else 0 for i in range(d))
-            return {key: 1.0}
+            return {(node.index,): 1.0}
         if isinstance(node, Neg):
             p = rec(node.arg)
             return None if p is None else {k: -v for k, v in p.items()}
         if isinstance(node, Pow):
             p = rec(node.base)
-            if p is None:
+            if p is not None and set(p) <= {()}:
+                with np.errstate(over="ignore"):  # the finite check in rec reports it
+                    return {(): float(np.float_power(p.get((), 0.0), node.exp))}
+            if p is None or node.exp > 2:
                 return None
-            # by squaring: O(log exp) products
-            out, k = {zero: 1.0}, node.exp
-            while k:
-                if k & 1:
-                    out = _mul(out, p)
-                k >>= 1
-                if k:
-                    p = _mul(p, p)
-            return out
-        p, q = rec(node.left), rec(node.right)
-        if p is None or q is None:
+            return _mul(p, p) if node.exp == 2 else p if node.exp else {(): 1.0}
+        p = rec(node.left)
+        q = None if p is None else rec(node.right)
+        if q is None:
             return None
-        if node.op == "+":
-            out = dict(p)
-            for k, v in q.items():
-                out[k] = out.get(k, 0.0) + v
-            return out
-        if node.op == "-":
-            out = dict(p)
-            for k, v in q.items():
-                out[k] = out.get(k, 0.0) - v
-            return out
         if node.op == "*":
             return _mul(p, q)
-        # division: only by a nonzero constant
-        if set(q) - {zero} or q.get(zero, 0.0) == 0.0:
-            return None
-        return {k: v / q[zero] for k, v in p.items()}
+        if node.op == "/":  # only by a nonzero constant
+            return {k: v / q[()] for k, v in p.items()} if set(q) == {()} else None
+        if node.op == "-":
+            q = {k: -v for k, v in q.items()}
+        out = dict(p)
+        for k, v in q.items():
+            out[k] = out.get(k, 0.0) + v
+        return out
 
-    out = rec(e)
-    if out is None:
+    terms = rec(e)
+    if terms is None:
         return None
-    return {k: v for k, v in out.items() if v != 0.0} or {zero: 0.0}
-
-
-def degree(monos: dict[tuple[int, ...], float]) -> int:
-    return max((sum(k) for k in monos), default=0)
+    c, b, M = terms.pop((), 0.0), np.zeros(d), np.zeros((d, d))
+    for key, coeff in terms.items():
+        if len(key) == 1:
+            b[key] = coeff
+        else:
+            M[key] = M[key[::-1]] = coeff if key[0] == key[1] else coeff / 2
+    return c, b, M

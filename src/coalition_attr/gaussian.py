@@ -146,29 +146,6 @@ class QuadForm:
     b: np.ndarray
     M: np.ndarray
 
-    @classmethod
-    def from_monomials(cls, monos: dict[tuple[int, ...], float], d: int) -> "QuadForm":
-        """Build from an exponent-vector -> coefficient map, total degree <= 2."""
-        c = 0.0
-        b = np.zeros(d)
-        M = np.zeros((d, d))
-        for exps, coeff in monos.items():
-            deg = sum(exps)
-            if deg > 2:
-                raise GameError(f"monomial of degree {deg} exceeds the quadratic form")
-            support = [i for i, e in enumerate(exps) if e]
-            if deg == 0:
-                c += coeff
-            elif deg == 1:
-                b[support[0]] += coeff
-            elif len(support) == 1:
-                M[support[0], support[0]] += coeff
-            else:
-                i, j = support
-                M[i, j] += coeff / 2
-                M[j, i] += coeff / 2
-        return cls(c, b, M)
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """q(x), one point per form (stacks pair up form by form)."""
         x = np.asarray(x, float)

@@ -28,15 +28,16 @@ MAX_ROWS = 1 << 13  # the most points any one model call sees
 
 @dataclass(frozen=True)
 class Model:
-    """A prediction function plus, when known, its monomial expansion.
+    """A prediction function plus, when certified, its quadratic form.
 
-    fn maps an (n, d) array of rows to their n outputs. The monomials
-    certify polynomial degree, which gates the closed-form Gaussian paths.
+    fn maps an (n, d) array of rows to their n outputs. quad is set when
+    every subexpression of the model expands to degree <= 2; it gates the
+    closed-form Gaussian paths.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     d: int
-    monos: Optional[dict[tuple[int, ...], float]] = None
+    quad: Optional[QuadForm] = None
 
     def __call__(self, x):
         """f at one point (d,), as a float, or at each row of an (n, d) array."""
@@ -50,22 +51,20 @@ class Model:
             raise GameError(f"model returned non-finite output at {rows[np.argmax(bad)]}")
         return float(y[0]) if x.ndim == 1 else y
 
-    @property
-    def degree(self) -> Optional[int]:
-        return None if self.monos is None else _expr.degree(self.monos)
-
     def quad_form(self) -> QuadForm:
-        if self.monos is None or self.degree > 2:
+        if self.quad is None:
             raise GameError(
                 "model is not a certified polynomial of degree <= 2; "
                 "use a Monte Carlo game construction instead"
             )
-        return QuadForm.from_monomials(self.monos, self.d)
+        return self.quad
 
     @classmethod
     def from_expression(cls, src: str, d: int) -> "Model":
         tree = _expr.parse(src, d)
-        return cls(lambda X: _expr.evaluate(tree, X), d, _expr.monomials(tree, d))
+        terms = _expr.monomials(tree, d)
+        quad = None if terms is None else QuadForm(*terms)
+        return cls(lambda X: _expr.evaluate(tree, X), d, quad)
 
 
 def _outputs(f: Model, pts: np.ndarray) -> np.ndarray:

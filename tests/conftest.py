@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from coalition_attr import Game
+from coalition_attr.expr import Bin, Lit, Neg, Pow, Var
 
 
 @pytest.fixture
@@ -25,6 +27,21 @@ def g3_fixture(rho: float) -> Game:
         (1 + rho**2) / 2,    # {2,3}
         1.0,                 # {1,2,3}
     ]))
+
+
+def random_tree(rng: random.Random, d: int, depth: int):
+    """A random expression tree over x1..xd: literals in [0, 5], variables,
+    +, -, *, unary minus and powers 0..2, at most depth operators deep."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.5:
+            return Lit(round(rng.uniform(0, 5), 3))
+        return Var(rng.randrange(d))
+    op = rng.choice(["+", "-", "*", "neg", "pow"])
+    if op == "neg":
+        return Neg(random_tree(rng, d, depth - 1))
+    if op == "pow":
+        return Pow(random_tree(rng, d, depth - 1), rng.randrange(0, 3))
+    return Bin(op, random_tree(rng, d, depth - 1), random_tree(rng, d, depth - 1))
 
 
 def random_game(d: int, rng: np.random.Generator, positive: bool = False) -> Game:

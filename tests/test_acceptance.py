@@ -33,7 +33,7 @@ from coalition_attr import cli
 from coalition_attr.cli import main as cli_main
 from coalition_attr.dividends import dividends_fast, dividends_recursive, zeta_reconstruct
 from coalition_attr.expr import ExprError, evaluate, parse, to_str
-from conftest import g3_fixture, random_game
+from conftest import g3_fixture, random_game, random_tree
 
 
 def report(name: str, dev: float, tol: float):
@@ -198,12 +198,10 @@ def test_criterion_8_monte_carlo_calibration():
 
 
 def test_criterion_9_parser():
-    from test_expr import _random_tree
-
     rng = random.Random(900)
     pts = [np.array([0.7, -1.1, 2.3])]
     for _ in range(100):
-        tree = _random_tree(rng, 3, 4)
+        tree = random_tree(rng, 3, 4)
         back = parse(to_str(tree), 3)
         for pt in pts:
             assert evaluate(back, pt) == pytest.approx(evaluate(tree, pt), rel=1e-12, abs=1e-12)

@@ -363,6 +363,25 @@ def test_csv_byte_order_mark_is_not_part_of_the_first_row(tmp_path, capsys):
     assert run(capsys, *argv, str(marked)) == (0, want)
 
 
+@pytest.mark.parametrize("header", [b"x1,x2\n", b"\xef\xbb\xbfx1,x2\n"])
+def test_a_header_row_is_skipped(tmp_path, capsys, header):
+    data = tmp_path / "bg.csv"
+    data.write_bytes(header + b"1,2\n3,4\n")
+    code, out = run(capsys, "attribute", "--model", "x1+x2", "--value-fn", "marginal",
+                    "--x", "0,0", "--method", "shapley", "--data", str(data))
+    assert code == 0 and json.loads(out)["v_empty"] == 5.0
+
+
+@pytest.mark.parametrize("first", ["1,2x", "a,2"])
+def test_a_first_row_with_a_number_is_data(tmp_path, capsys, first):
+    # a typo in the first data row is an error, not a header that drops the row
+    data = tmp_path / "bg.csv"
+    data.write_text(f"{first}\n3,4\n")
+    assert main(["attribute", "--model", "x1+x2", "--value-fn", "marginal", "--x", "0,0",
+                 "--method", "shapley", "--data", str(data)]) == 3
+    assert f"bad CSV {data}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e400"])
 def test_non_finite_csv_entry_exits_3(tmp_path, capsys, entry):
     data = tmp_path / "bg.csv"
@@ -381,6 +400,29 @@ def test_pmf_with_dag_exits_2(g2_file, tmp_path, capsys, method):
     assert main(["attribute", "--game", g2_file, "--method", method, "--pmf", str(pmf),
                  "--dag", str(dag), "--seed", "1", "--n", "10"]) == 2
     assert "at most one of --pmf or --dag" in capsys.readouterr().err
+
+
+READS = {"weber": ("pmf", "dag"), "weber-mc": ("pmf", "dag"), "harsanyi": ("weights",)}
+
+
+@pytest.mark.parametrize("method, option", [
+    (method, option) for method in ROUTE_GLOBALS for option in ("pmf", "dag", "weights")
+    if option not in READS.get(method, ())])
+def test_a_file_the_method_does_not_read_exits_2(tmp_path, capsys, method, option):
+    # each file is invalid for its option and the game file is missing, so
+    # reading either would exit 3
+    pmf, weights = tmp_path / "pmf.json", tmp_path / "w.json"
+    pmf.write_text('[{"order":[1,2],"p":0.9}]')
+    weights.write_text('{"preset":"fair"}')
+    path = pmf if option == "pmf" else weights
+    argv = ["attribute", "--game", str(tmp_path / "missing.json"), "--method", method,
+            f"--{option}", str(path), "--seed", "1", "--n", "10"]
+    assert main(argv) == 2
+    assert f"--{option} is not read by --method {method}" in capsys.readouterr().err
+
+
+def test_the_files_each_method_reads():
+    assert {m: reads for m, (_, reads) in cli.METHODS.items() if reads} == READS
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
@@ -661,6 +703,23 @@ def test_nan_pmf_probability_exits_3(g2_file, tmp_path, capsys, method):
     assert main(["attribute", "--game", g2_file, "--method", method, "--pmf", str(p),
                  "--seed", "1", "--n", "10"]) == 3
     assert "bad pmf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["x1^3 + x2", "x1^3 - x1^3 + x2", "x1/x2"])
+def test_cond_gauss_without_a_closed_form_exits_2(gauss3_file, capsys, model):
+    assert main(["attribute", "--model", model, "--gaussian", gauss3_file, "--x", "1,1,1",
+                 "--value-fn", "cond-gauss", "--method", "shapley"]) == 2
+    assert "cond-gauss needs a model that expands to degree <= 2" in capsys.readouterr().err
+
+
+def test_a_high_power_model_runs_marginal(tmp_path, capsys):
+    data = tmp_path / "bg.csv"
+    data.write_text("0,0,0,0,0,0,0,0,0,0\n")
+    model = "(" + "+".join(f"x{i}" for i in range(1, 11)) + ")^12"
+    code, out = run(capsys, "attribute", "--model", model, "--value-fn", "marginal",
+                    "--data", str(data), "--x", ",".join(["0.1"] * 10), "--method", "shapley")
+    assert code == 0
+    assert json.loads(out)["v_full"] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])
