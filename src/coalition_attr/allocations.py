@@ -9,7 +9,6 @@ import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 import orjson
@@ -48,28 +47,18 @@ def shapley_direct(g: Game) -> Allocation:
     return Allocation(_marginal_pass(g, by_size[popcount_table(g.d)]), "shapley")
 
 
-def marginal_vector(g: Game, order: Sequence[int]) -> np.ndarray:
-    """Per-player marginal contributions along a single ordering."""
-    out = np.empty(g.d)
-    placed = 0
-    for j in order:
-        bit = 1 << j
-        out[j] = g.values[placed | bit] - g.values[placed]
-        placed |= bit
-    return out
-
-
-def _batch_marginals(g: Game, orders: np.ndarray) -> np.ndarray:
-    """Marginal-contribution matrix, one row per ordering in `orders`.
+def marginal_vector(g: Game, orders: np.ndarray) -> np.ndarray:
+    """Marginal contributions along orders: one order (d,) gives its (d,) vector,
+    an (m, d) stack one row per order.
 
     Prefix coalitions are cumulative sums of player bits (each bit occurs
-    once per row, so sum == bitwise or).
+    once per order, so sum == bitwise or).
     """
-    bits = (1 << orders.astype(np.int64))
-    prefix = np.cumsum(bits, axis=1)
-    delta = g.values[prefix] - g.values[prefix - bits]
-    out = np.empty_like(delta)
-    out[np.arange(orders.shape[0])[:, None], orders] = delta
+    orders = np.asarray(orders, dtype=np.int64)
+    bits = 1 << orders
+    prefix = np.cumsum(bits, axis=-1)
+    out = np.empty(orders.shape)
+    np.put_along_axis(out, orders, g.values[prefix] - g.values[prefix - bits], axis=-1)
     return out
 
 
@@ -78,7 +67,7 @@ def weber_allocate(g: Game, p: RandomOrderDistribution) -> Allocation:
     orders are Shapley's, and a DAG's weigh S without j by f(S) c(S | j) / c(empty)."""
     if isinstance(p, Explicit):
         orders, probs = p.expand(g.d)
-        return Allocation(probs @ _batch_marginals(g, orders), "weber")
+        return Allocation(probs @ marginal_vector(g, orders), "weber")
     if isinstance(p, Uniform):
         return Allocation(shapley_direct(g).payoffs, "weber")
     if p.d != g.d:
@@ -89,7 +78,7 @@ def weber_allocate(g: Game, p: RandomOrderDistribution) -> Allocation:
 def shapley_permutation(g: Game) -> Allocation:
     """Ordering-enumeration Shapley: uniform average over all d! orderings."""
     orders, probs = Uniform().expand(g.d)
-    return Allocation(probs @ _batch_marginals(g, orders), "shapley-perm")
+    return Allocation(probs @ marginal_vector(g, orders), "shapley-perm")
 
 
 def _equal_split(phi: np.ndarray, d: int) -> np.ndarray:
@@ -227,7 +216,7 @@ def weber_monte_carlo(
     def run_chunk(k: int) -> tuple[int, np.ndarray, np.ndarray]:
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
         m = min(MC_CHUNK, n - k * MC_CHUNK)
-        mv = _batch_marginals(g, p.sample(g.d, rng, m))
+        mv = marginal_vector(g, p.sample(g.d, rng, m))
         s = mv.sum(axis=0)
         return m, s, ((mv - s / m) ** 2).sum(axis=0)
 

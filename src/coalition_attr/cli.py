@@ -132,27 +132,27 @@ def _build_game(args) -> tuple[Game, dict]:
     if len(sources) != 1:
         raise CliError("exactly one of --game or --model is required", EXIT_CONFIG)
     if args.game:
+        for option in ("value_fn", "data", "gaussian", "x"):
+            if getattr(args, option):
+                raise CliError(f"--{option.replace('_', '-')} is not read with --game", EXIT_CONFIG)
         return _load_json(args.game, Game.from_json, "game file"), {"game": args.game}
-    if not args.value_fn:
-        raise CliError("--model requires --value-fn", EXIT_CONFIG)
-    if args.d is None and not args.x and not args.gaussian:
-        raise CliError("--model needs --d, --x, or --gaussian to fix the feature count", EXIT_CONFIG)
-
-    spec = None
-    if args.gaussian:
-        spec = _load_json(args.gaussian, GaussianSpec.from_json, "Gaussian spec")
-    x = _parse_vector(args.x) if args.x else None
-    d = args.d if args.d is not None else (spec.d if spec is not None else len(x))
-    try:
-        model = Model.from_expression(args.model, d)
-    except ExprError as e:
-        raise CliError(f"bad model expression: {e}", EXIT_CONFIG) from e
-
     vf = args.value_fn
+    if not vf:
+        raise CliError("--model requires --value-fn", EXIT_CONFIG)
     route, needs = VALUE_FNS[vf]
     missing = [f"--{option}" for option in needs if not getattr(args, option)]
     if missing:
         raise CliError(f"{vf} needs {' and '.join(missing)}", EXIT_CONFIG)
+
+    x = _parse_vector(args.x) if args.x else None
+    spec = None
+    if args.gaussian:
+        spec = _load_json(args.gaussian, GaussianSpec.from_json, "Gaussian spec")
+    d = spec.d if spec is not None else len(x)  # every value function needs one of them
+    try:
+        model = Model.from_expression(args.model, d)
+    except ExprError as e:
+        raise CliError(f"bad model expression: {e}", EXIT_CONFIG) from e
     return route(model, spec, x, args), {"model": args.model, "value_fn": vf, "d": d}
 
 
@@ -335,12 +335,9 @@ def verify_game(g: Game, seed: int = 0) -> list[tuple[str, bool]]:
     checks.append(("dividend total equals grand worth",
                    abs(float(np.sum(t.dividends)) - g.v_full) / scale <= 1e-12))
 
-    ok = True
-    for _ in range(5):
-        order = tuple(int(j) for j in rng.permutation(g.d))
-        ok = ok and abs(float(np.sum(marginal_vector(g, order))) - (g.v_full - g.v_empty)) \
-            <= 1e-12 * scale
-    checks.append(("telescoping along random orderings", ok))
+    totals = marginal_vector(g, [rng.permutation(g.d) for _ in range(5)]).sum(axis=1)
+    checks.append(("telescoping along random orderings",
+                   bool(np.all(np.abs(totals - (g.v_full - g.v_empty)) <= 1e-12 * scale))))
 
     for label, alloc in [
         ("egalitarian dividends", routes[1]),
@@ -428,14 +425,6 @@ def sample_count(text: str) -> int:
     return value
 
 
-def feature_count(text: str) -> int:
-    """--d: a feature count of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"feature count must be >= 1, got {text}")
-    return value
-
-
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="coalition-attr",
@@ -451,7 +440,6 @@ def make_parser() -> argparse.ArgumentParser:
     at.add_argument("--data", help="background dataset CSV")
     at.add_argument("--gaussian", help="Gaussian spec JSON")
     at.add_argument("--x", help="instance, comma-separated")
-    at.add_argument("--d", type=feature_count, help="feature count (when not implied)")
     at.add_argument("--method", required=True, choices=list(METHODS))
     at.add_argument("--pmf", help="explicit random-order pmf JSON")
     at.add_argument("--weights", help="weight system JSON")

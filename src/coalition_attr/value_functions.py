@@ -92,7 +92,11 @@ def marginal_game(f: Model, data: np.ndarray, x: np.ndarray) -> Game:
     if not np.all(np.isfinite(data)):
         raise GameError("background data contains non-finite entries")
 
+    full = full_mask(f.d)
+
     def worth(masks: np.ndarray) -> np.ndarray:
+        if masks[0] == full:
+            return np.array([f(x)])
         inside = (masks[:, None] >> np.arange(f.d)) & 1 == 1
         pts = np.where(inside[:, None, :], x, data)
         return _outputs(f, pts.reshape(-1, f.d)).reshape(len(masks), -1).mean(axis=1)

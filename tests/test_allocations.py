@@ -23,6 +23,7 @@ from coalition_attr import (
     weber_allocate,
     weber_monte_carlo,
 )
+from coalition_attr import allocations
 from coalition_attr.allocations import _equal_split
 from coalition_attr.games import popcount_table
 from conftest import g3_fixture, random_game, shapley_oracle, unanimity_game
@@ -185,6 +186,47 @@ def test_weber_linearity_in_game():
     assert np.allclose(weber_allocate(combo, p).payoffs, want, atol=1e-12)
 
 
+def test_marginal_vector_of_one_order_and_of_a_stack():
+    g = g3_fixture(0.5)  # worths 0, 1/2, 1/2, 1, 1/8, 1/2, 5/8, 1: every difference exact
+    orders = np.array([(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+    # (2, 0, 1): v({3}) = 1/8, then v({1, 3}) - v({3}) = 3/8, then v(D) - v({1, 3}) = 1/2
+    want = np.array([[0.5, 0.5, 0.0], [0.375, 0.5, 0.125], [0.375, 0.5, 0.125]])
+    stack = marginal_vector(g, orders)
+    assert stack.shape == (3, 3) and np.array_equal(stack, want)
+    one = marginal_vector(g, orders[1])
+    assert one.shape == (3,) and np.array_equal(one, want[1])
+
+
+def test_a_stack_row_is_its_order_bit_for_bit():
+    rng = np.random.default_rng(32)
+    g = random_game(9, rng)
+    orders = np.array([rng.permutation(9) for _ in range(50)])
+    stack = marginal_vector(g, orders)
+    assert all(np.array_equal(marginal_vector(g, o), row) for o, row in zip(orders, stack))
+
+
+@pytest.mark.parametrize("route", ["weber-pmf", "shapley-perm", "weber-mc-1", "weber-mc-2"])
+def test_every_order_route_runs_the_one_kernel(monkeypatch, route):
+    g = random_game(5, np.random.default_rng(33))
+    pmf = Explicit(((0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (2, 0, 4, 1, 3)), (0.2, 0.3, 0.5))
+    run, sizes = {
+        "weber-pmf": (lambda: weber_allocate(g, pmf), [3]),
+        "shapley-perm": (lambda: shapley_permutation(g), [120]),
+        "weber-mc-1": (lambda: weber_monte_carlo(g, Uniform(), 3000, seed=5), [952, 1024, 1024]),
+        "weber-mc-2": (lambda: weber_monte_carlo(g, Uniform(), 3000, seed=5, threads=2),
+                       [952, 1024, 1024]),
+    }[route]
+    want = run()
+    kernel, calls = allocations.marginal_vector, []
+    monkeypatch.setattr(allocations, "marginal_vector",
+                        lambda g, orders: calls.append(len(orders)) or kernel(g, orders))
+    got = run()
+    assert sorted(calls) == sizes
+    assert np.array_equal(got.payoffs, want.payoffs)
+    if want.stderr is not None:
+        assert np.array_equal(got.stderr, want.stderr)
+
+
 def test_telescoping_every_permutation():
     rng = np.random.default_rng(29)
     for d in range(1, 7):
@@ -200,7 +242,7 @@ def test_weber_causal_dag_allocation():
     a = weber_allocate(g, p)
     # oracle: plain average over the three orderings with player 1 before 2
     orders = [(0, 1, 2), (0, 2, 1), (2, 0, 1)]
-    want = np.mean([marginal_vector(g, o) for o in orders], axis=0)
+    want = np.mean(marginal_vector(g, orders), axis=0)
     assert np.allclose(a.payoffs, want, atol=1e-14)
     assert abs(efficiency_gap(g, a)) <= 1e-10
 
@@ -257,7 +299,7 @@ def test_weber_mc_stderr_survives_large_worths():
     d, n = 4, 20_000
     sizes = np.array([bin(m).count("1") for m in range(1 << d)])
     g = Game(d, 1e9 * sizes + rng.normal(size=1 << d))
-    mv = np.array([marginal_vector(g, o) for o in itertools.permutations(range(d))])
+    mv = marginal_vector(g, list(itertools.permutations(range(d))))
     exact = np.sqrt(mv.var(axis=0) / n)
     a = weber_monte_carlo(g, Uniform(), n, seed=3)
     assert np.allclose(a.stderr, exact, rtol=0.1)

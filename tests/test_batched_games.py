@@ -62,6 +62,8 @@ def ref_game(d: int, worth) -> np.ndarray:
 
 def ref_marginal(f, data, x):
     def worth(mask):
+        if mask == (1 << f.d) - 1:
+            return f(x)
         idx = list(members(mask))
         patched = data.copy()
         patched[:, idx] = x[idx]

@@ -425,6 +425,30 @@ def test_the_files_each_method_reads():
     assert {m: reads for m, (_, reads) in cli.METHODS.items() if reads} == READS
 
 
+@pytest.mark.parametrize("option, value", [("--value-fn", "marginal"), ("--data", "bg.csv"),
+                                           ("--gaussian", "spec.json"), ("--x", "1,1")])
+def test_a_model_option_with_game_exits_2(tmp_path, capsys, option, value):
+    # no file exists, so reading the game, the CSV or the spec would exit 3
+    argv = ["attribute", "--game", str(tmp_path / "missing.json"), "--method", "shapley",
+            option, str(tmp_path / value) if value.endswith(("csv", "json")) else value]
+    assert main(argv) == 2
+    assert f"{option} is not read with --game" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--gaussian", "spec.json", "--x", "1"], "--model requires --value-fn"),
+    (["--value-fn", "marginal", "--data", "bg.csv"], "marginal needs --x"),
+    (["--value-fn", "cond-gauss", "--gaussian", "spec.json"], "cond-gauss needs --x"),
+    (["--value-fn", "cond-mc", "--x", "1"], "cond-mc needs --gaussian"),
+    (["--value-fn", "cond-gauss", "--gaussian", "spec.json", "--x", "1,nan"], "bad vector"),
+])
+def test_value_fn_options_are_checked_before_any_file_is_read(tmp_path, capsys, argv, message):
+    # no file exists, so reading one would exit 3, and the model would not parse
+    argv = [str(tmp_path / a) if a.endswith(("csv", "json")) else a for a in argv]
+    assert main(["attribute", "--model", "x1 +", "--method", "shapley", *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
 def test_exit_2_on_invalid_thread_count(g2_file, monkeypatch, capsys, value):
     monkeypatch.setenv("COALITION_ATTR_THREADS", value)
@@ -447,7 +471,7 @@ def test_power_overflow_exits_2(tmp_path, capsys):
                  "--data", str(data), "--x", "1,1", "--method", "shapley"]) == 2
     assert "non-finite intermediate value" in capsys.readouterr().err
     assert main(["attribute", "--model", "2^99999 + x1", "--value-fn", "marginal",
-                 "--data", str(data), "--x", "1,1", "--d", "2", "--method", "shapley"]) == 2
+                 "--data", str(data), "--x", "1,1", "--method", "shapley"]) == 2
     assert "non-finite intermediate value" in capsys.readouterr().err
 
 
@@ -492,7 +516,7 @@ def test_too_deep_expression_exits_2(tmp_path, capsys, model):
 
 
 @pytest.mark.parametrize("value_fn", ["cond-gauss", "cond-mc"])
-@pytest.mark.parametrize("shape", [["--x=1,1"], ["--d", "2", "--x=1,1"]])
+@pytest.mark.parametrize("shape", [["--x=1,1"], ["--x=1,1,1,1"]])
 def test_feature_count_mismatch_exits_4(gauss3_file, capsys, value_fn, shape):
     argv = ["attribute", "--model", "x1 + x2", "--gaussian", gauss3_file,
             "--value-fn", value_fn, "--method", "shapley", "--n", "10", "--seed", "1"]
@@ -793,11 +817,14 @@ def test_bad_pmf_exits_3(g3_file, tmp_path, capsys, text, method):
 @pytest.mark.parametrize("extra", [[], ["--x", "1,2"]])
 @pytest.mark.parametrize("d", ["0", "-1", "two"])
 def test_feature_count_below_1_exits_2(tmp_path, capsys, d, extra):
+    # there is no --d: --gaussian or --x fixes the feature count, so the
+    # parser refuses every --d, one that would fit the inputs included
     data = tmp_path / "bg.csv"
     data.write_text("0,0\n1,1\n")
-    assert main(["attribute", "--model", "x1", "--d", d, "--value-fn", "marginal",
-                 "--data", str(data), "--method", "shapley", *extra]) == 2
-    assert "--d" in capsys.readouterr().err
+    for value in (d, "2"):
+        assert main(["attribute", "--model", "x1", "--d", value, "--value-fn", "marginal",
+                     "--data", str(data), "--method", "shapley", *extra]) == 2
+        assert "--d" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["no-dir", "a-dir"])

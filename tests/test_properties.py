@@ -254,7 +254,7 @@ def dag_games(draw, max_d=7):
 def test_dag_weber_table_pass_matches_enumeration(gp):
     g, p = gp
     orders, probs = p.expand(g.d)
-    want = probs @ np.array([marginal_vector(g, o) for o in orders])
+    want = probs @ marginal_vector(g, orders)
     got = weber_allocate(g, p)
     assert np.max(np.abs(got.payoffs - want)) <= 1e-12 * magnitude(g)
     assert abs(efficiency_gap(g, got)) <= EXACT_TOL * magnitude(g)

@@ -89,6 +89,14 @@ def test_marginal_game_full_coalition_is_prediction():
     assert g.v_full == pytest.approx(f(x))
 
 
+def test_marginal_game_full_coalition_is_the_prediction_bit_for_bit():
+    # the mean of three copies of f(x) = 0.1 would round to 0.10000000000000002
+    f = Model.from_expression("x1+x2", 2)
+    x = np.array([0.1, 0.0])
+    g = marginal_game(f, np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), x)
+    assert g.v_full == f(x) == 0.1
+
+
 def test_marginal_game_additive_closed_form():
     f = Model.from_expression("x1 + x2 + x3", 3)
     rng = np.random.default_rng(40)
