@@ -132,7 +132,7 @@ def _build_game(args) -> tuple[Game, dict]:
     if len(sources) != 1:
         raise CliError("exactly one of --game or --model is required", EXIT_CONFIG)
     if args.game:
-        for option in ("value_fn", "data", "gaussian", "x"):
+        for option in ("value_fn", "data", "gaussian", "x", "unnormalized"):
             if getattr(args, option):
                 raise CliError(f"--{option.replace('_', '-')} is not read with --game", EXIT_CONFIG)
         return _load_json(args.game, Game.from_json, "game file"), {"game": args.game}
@@ -140,6 +140,8 @@ def _build_game(args) -> tuple[Game, dict]:
     if not vf:
         raise CliError("--model requires --value-fn", EXIT_CONFIG)
     route, needs = VALUE_FNS[vf]
+    if args.unnormalized and vf not in ("sobol", "sobol-total"):
+        raise CliError(f"--unnormalized is not read by --value-fn {vf}", EXIT_CONFIG)
     missing = [f"--{option}" for option in needs if not getattr(args, option)]
     if missing:
         raise CliError(f"{vf} needs {' and '.join(missing)}", EXIT_CONFIG)
@@ -429,11 +431,13 @@ def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="coalition-attr",
         description="Game-theoretic feature attribution with efficient allocations.",
+        allow_abbrev=False,  # an option added later must not change what a prefix means
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    at = sub.add_parser("attribute", help="build or load a game and allocate it")
+    at = sub.add_parser("attribute", help="build or load a game and allocate it",
+                        allow_abbrev=False)
     at.add_argument("--game", help="game JSON file")
     at.add_argument("--model", help="model expression over x1..xd")
     at.add_argument("--value-fn", choices=list(VALUE_FNS))
@@ -452,16 +456,18 @@ def make_parser() -> argparse.ArgumentParser:
     at.add_argument("--format", choices=["json", "csv"], default="json")
     at.set_defaults(func=cmd_attribute)
 
-    dv = sub.add_parser("dividends", help="dividend table of a game file")
+    dv = sub.add_parser("dividends", help="dividend table of a game file", allow_abbrev=False)
     dv.add_argument("--game", required=True)
     dv.add_argument("--out")
     dv.set_defaults(func=cmd_dividends, format="json")
 
-    vf = sub.add_parser("verify", help="run consistency checks on a game file")
+    vf = sub.add_parser("verify", help="run consistency checks on a game file",
+                        allow_abbrev=False)
     vf.add_argument("--game", required=True)
     vf.set_defaults(func=cmd_verify)
 
-    pb = sub.add_parser("paper-bench", help="reproduce the bundled closed-form examples")
+    pb = sub.add_parser("paper-bench", help="reproduce the bundled closed-form examples",
+                        allow_abbrev=False)
     pb.add_argument("--out")
     pb.set_defaults(func=cmd_paper_bench)
     return ap

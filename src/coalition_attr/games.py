@@ -57,12 +57,12 @@ def coalition_label(mask: int) -> str:
 def split_masks(masks, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Members and non-members of each mask in a stack of equal-cardinality
     masks (a single mask is a stack of one): two ascending index arrays of
-    shapes (m, k) and (m, d - k)."""
+    C-contiguous shapes (m, k) and (m, d - k)."""
     masks = np.asarray(masks, dtype=np.int64).reshape(-1)
     inside = (masks[:, None] >> np.arange(d)) & 1
     order = np.argsort(1 - inside, axis=1, kind="stable")
     k = int(inside[0].sum()) if len(masks) else 0
-    return order[:, :k], order[:, k:]
+    return np.ascontiguousarray(order[:, :k]), np.ascontiguousarray(order[:, k:])
 
 
 def popcount_table(d: int) -> np.ndarray:

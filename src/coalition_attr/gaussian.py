@@ -6,7 +6,7 @@ vector. These primitives back the analytic game constructions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import orjson
@@ -15,6 +15,7 @@ from .games import GameError, json_numbers, split_masks
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
+REGULAR_COND = 1e11  # a spec of condition number at most this has no singular block
 
 
 @dataclass(frozen=True)
@@ -23,6 +24,7 @@ class GaussianSpec:
 
     mean: np.ndarray
     cov: np.ndarray
+    regular: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         mu = np.array(self.mean, dtype=float).reshape(-1)
@@ -34,11 +36,17 @@ class GaussianSpec:
             raise GameError("non-finite entry in mean or covariance")
         if d and np.max(np.abs(S - S.T)) > SYMMETRY_TOL:
             raise GameError("covariance is not symmetric")
-        S = checked_psd(S)
+        w = np.linalg.eigvalsh(S) if d else np.ones(1)
+        S = checked_psd(S, w[0])
         mu.setflags(write=False)
         S.setflags(write=False)
         object.__setattr__(self, "mean", mu)
         object.__setattr__(self, "cov", S)
+        # By Cauchy interlacing every principal block's eigenvalues lie in
+        # [w[0], w[-1]], so at cond <= REGULAR_COND no block can fail the 1e12
+        # test of _solve_or_pinv; the 10x margin covers eigvalsh's roundoff,
+        # about eps * w[-1]. A repaired covariance (w[0] < 0) is not regular.
+        object.__setattr__(self, "regular", bool(w[0] > 0 and w[-1] <= REGULAR_COND * w[0]))
 
     @property
     def d(self) -> int:
@@ -72,18 +80,20 @@ def _trace_of_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _block(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The (rows, cols) sub-block of A for each row of the index stacks."""
-    return A[rows[..., :, None], cols[..., None, :]]
+    """The (rows, cols) sub-block of a matrix A for each row of the index
+    stacks, gathered through one flat index into A's C-order values."""
+    return A.reshape(-1)[rows[..., :, None] * A.shape[1] + cols[..., None, :]]
 
 
-def checked_psd(S: np.ndarray) -> np.ndarray:
+def checked_psd(S: np.ndarray, low=None) -> np.ndarray:
     """A covariance (r, r), or a stack of them (..., r, r), checked to be
     PSD: a least eigenvalue below -PSD_TOL raises, and one in [-PSD_TOL, 0)
     is roundoff, so that covariance gets its negative eigenvalues clamped to
-    zero. The others are returned as they are."""
+    zero. The others are returned as they are. `low` is the least
+    eigenvalue(s), when the caller has them already."""
     if not S.shape[-1]:
         return S
-    low = np.linalg.eigvalsh(S)[..., 0]
+    low = np.linalg.eigvalsh(S)[..., 0] if low is None else low
     if np.any(low < -PSD_TOL):
         raise GameError(f"covariance is not PSD (min eigenvalue {np.min(low):.3e})")
     neg = low < 0
@@ -94,12 +104,15 @@ def checked_psd(S: np.ndarray) -> np.ndarray:
     return np.where(neg[..., None, None], (R + _t(R)) / 2, S)
 
 
-def _solve_or_pinv(A: np.ndarray, B: np.ndarray, allow_pinv: bool) -> np.ndarray:
-    """Solve A X = B for a stack of covariance blocks. A block whose condition
-    number exceeds 1e12 is singular: it raises, or with allow_pinv gets the
-    pseudo-inverse solution; the others are solved exactly. The blocks are
-    symmetric PSD, so their eigenvalues are their singular values, and
-    eigvalsh finds them in about half the time of an SVD."""
+def _solve_or_pinv(A: np.ndarray, B: np.ndarray, allow_pinv: bool, regular: bool) -> np.ndarray:
+    """Solve A X = B for a stack of principal blocks of a covariance. A block
+    whose condition number exceeds 1e12 is singular: it raises, or with
+    allow_pinv gets the pseudo-inverse solution; the others are solved
+    exactly. The blocks of a regular spec cannot be singular and skip the
+    test. The blocks are symmetric PSD, so their eigenvalues are their
+    singular values, and eigvalsh finds them in about half the time of an SVD."""
+    if regular:
+        return np.linalg.solve(A, B)
     w = np.linalg.eigvalsh(A)
     singular = w[..., 0] <= w[..., -1] * 1e-12
     if not singular.any():
@@ -126,7 +139,7 @@ def gaussian_conditional(
     Returns the spec of the remaining coordinates (ascending index order):
     mean mu_C + S_CA S_AA^{-1} (x_A - mu_A), covariance the Schur complement.
     """
-    known, rest, W, _, S = (a[0] for a in _condition_blocks(spec, mask, allow_singular))
+    known, rest, W, _, S, _ = (a[0] for a in _condition_blocks(spec, mask, allow_singular))
     if len(x_known) != len(known):
         raise GameError(f"expected {len(known)} conditioning values, got {len(x_known)}")
     if not len(known):
@@ -165,21 +178,24 @@ class QuadForm:
 def _condition_blocks(spec: GaussianSpec, masks, allow_pinv: bool):
     """Split each of a stack of equal-cardinality masks into (known, rest)
     index rows; return them with the affine conditional mean maps
-    mu_C(x) = m0 + W x and the Schur covariances, one per mask."""
+    mu_C(x) = m0 + W x, the Schur covariances and the known blocks S_AA,
+    one per mask."""
     known, rest = split_masks(masks, spec.d)
+    Saa = _block(spec.cov, known, known)
     Sca = _block(spec.cov, rest, known)
     W = np.zeros(Sca.shape)
     if known.shape[1]:
-        W = _t(_solve_or_pinv(_block(spec.cov, known, known), _t(Sca), allow_pinv))
+        W = _t(_solve_or_pinv(Saa, _t(Sca), allow_pinv, spec.regular))
     m0 = spec.mean[rest] - _mv(W, spec.mean[known])
     Sc = _block(spec.cov, rest, rest) - W @ _t(Sca)
-    return known, rest, W, m0, (Sc + _t(Sc)) / 2
+    return known, rest, W, m0, (Sc + _t(Sc)) / 2, Saa
 
 
-def conditional_mean_quad(q: QuadForm, spec: GaussianSpec, masks) -> QuadForm:
+def conditional_mean_quad(q: QuadForm, blocks) -> QuadForm:
     """E[q(X) | X_A = x] as a quadratic form in x (coordinates of A,
-    ascending), one form per mask A of an equal-cardinality stack."""
-    known, rest, W, m0, Sc = _condition_blocks(spec, masks, allow_pinv=True)
+    ascending), one form per mask A of the stack that `blocks`, the
+    `_condition_blocks` of the spec, conditions on."""
+    known, rest, W, m0, Sc, _ = blocks
     bB, bC = q.b[known], q.b[rest]
     MBB = _block(q.M, known, known)
     MBC = _block(q.M, known, rest)
@@ -192,10 +208,11 @@ def conditional_mean_quad(q: QuadForm, spec: GaussianSpec, masks) -> QuadForm:
     return QuadForm(c, b, (M + _t(M)) / 2)
 
 
-def conditional_var_quad(q: QuadForm, spec: GaussianSpec, masks) -> QuadForm:
+def conditional_var_quad(q: QuadForm, blocks) -> QuadForm:
     """Var[q(X) | X_B = x] as a quadratic form in x (coordinates of B,
-    ascending), one form per mask B of an equal-cardinality stack."""
-    known, rest, W, m0, Sc = _condition_blocks(spec, masks, allow_pinv=True)
+    ascending), one form per mask B of the stack that `blocks`, the
+    `_condition_blocks` of the spec, conditions on."""
+    known, rest, W, m0, Sc, _ = blocks
     bC = q.b[rest]
     MCB = _block(q.M, rest, known)
     MCC = _block(q.M, rest, rest)

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as _expr
-from .games import Game, GameError, build_game, full_mask, split_masks
+from .games import Game, GameError, build_game, full_mask
 from .gaussian import (
     GaussianSpec,
     QuadForm,
@@ -121,8 +121,8 @@ def conditional_gaussian_game(f: Model, spec: GaussianSpec, x: np.ndarray) -> Ga
     def worth(masks: np.ndarray) -> np.ndarray:
         if masks[0] == full:
             return f(X)[:, None]  # exact by construction, free of roundoff
-        known, _ = split_masks(masks, f.d)
-        cond = conditional_mean_quad(q, spec, masks)
+        blocks = _condition_blocks(spec, masks, allow_pinv=True)
+        known, cond = blocks[0], conditional_mean_quad(q, blocks)
         return np.array([cond(row[known]) for row in X]).reshape(len(X), len(masks))
 
     games = build_game(f.d, worth, stack=len(X))
@@ -172,7 +172,7 @@ def _conditional_sampler(spec: GaussianSpec, masks: np.ndarray):
     """A layer block of masks conditioned, checked and factored at once (the
     empty mask keeps the spec's own law): (known, draw), where draw(i, rng,
     xk, n) gives n points of mask i's law at each row of xk (p, k): (p, n, d)."""
-    known, rest, W, _, Sc = _condition_blocks(spec, masks, allow_pinv=True)
+    known, rest, W, _, Sc, _ = _condition_blocks(spec, masks, allow_pinv=True)
     factors = _svd_factor(checked_psd(Sc) if known.shape[1] else spec.cov[None])
 
     def draw(i: int, rng: np.random.Generator, xk: np.ndarray, n: int) -> np.ndarray:
@@ -227,12 +227,12 @@ def _sobol_game(f: Model, spec: GaussianSpec, normalize: bool,
         full = full_mask(f.d)
 
         def worth(masks: np.ndarray) -> np.ndarray:
-            cond_masks = (full ^ masks) if total_index else masks
-            known, _ = split_masks(cond_masks, f.d)
-            mu, S = subvector(spec, known)
+            blocks = _condition_blocks(spec, (full ^ masks) if total_index else masks,
+                                       allow_pinv=True)
+            known, *_, Saa = blocks
             if total_index:
-                return conditional_var_quad(q, spec, cond_masks).mean_under(mu, S)
-            return conditional_mean_quad(q, spec, cond_masks).var_under(mu, S)
+                return conditional_var_quad(q, blocks).mean_under(spec.mean[known], Saa)
+            return conditional_mean_quad(q, blocks).var_under(spec.mean[known], Saa)
 
         g = build_game(f.d, worth)
         total = float(q.var_under(spec.mean, spec.cov))

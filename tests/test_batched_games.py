@@ -10,8 +10,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coalition_attr import games, value_functions
+from coalition_attr import games, gaussian, value_functions
 from coalition_attr.games import GameError, build_game, members
 from coalition_attr.gaussian import GaussianSpec, gaussian_conditional
 from coalition_attr.value_functions import (
@@ -431,3 +433,140 @@ def test_conditional_mc_game_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+# ------------------------------------------------------------ regularity gate
+
+def ring_model(d: int) -> str:
+    terms = [f"{0.3 + 0.1 * i:.1f}*x{i + 1}*x{(i + 1) % d + 1}" for i in range(d)]
+    return " + ".join(terms + [f"x{i + 1}" for i in range(d)] + ["0.5*x1^2"])
+
+
+def gate_games(d: int, spec: GaussianSpec, model: str) -> list[np.ndarray]:
+    """The three closed forms, cond-mc and both Monte Carlo Sobol games."""
+    f = Model.from_expression(model, d)
+    cubic = Model.from_expression(model + " + 0.3*x1^3", d)
+    x = np.random.default_rng(d).normal(size=d)
+    return [g.values for g in (
+        conditional_gaussian_game(f, spec, x),
+        sobol_closed_game(f, spec, normalize=False),
+        sobol_total_game(f, spec, normalize=False),
+        conditional_mc_game(f, spec, x, n=20, seed=4),
+        sobol_closed_game(cubic, spec, normalize=False, mc=(6, 2)),
+        sobol_total_game(cubic, spec, normalize=False, mc=(6, 2)),
+    )]
+
+
+GATE_CASES = [(d, name, SPECS[name], MODELS[d]) for d in sorted(MODELS) for name in sorted(SPECS)]
+GATE_CASES += [(8, f"ar1 rho={rho}", lambda d, rho=rho: ar1_spec(d, rho, 1), ring_model(8))
+               for rho in (0.0, 0.5, 0.9)]
+
+
+@pytest.mark.parametrize("d, name, spec_of, model", GATE_CASES,
+                         ids=[f"d{d}-{name}" for d, name, _, _ in GATE_CASES])
+def test_skipping_the_singular_block_test_changes_no_game(monkeypatch, d, name, spec_of, model):
+    spec = spec_of(d)
+    assert spec.regular == (name != "singular")
+    got = gate_games(d, spec, model)
+    # REGULAR_COND = 0 makes every spec irregular: each block takes the test
+    monkeypatch.setattr(gaussian, "REGULAR_COND", 0.0)
+    parent = spec_of(d)
+    assert not parent.regular
+    for a, b in zip(got, gate_games(d, parent, model)):
+        assert np.array_equal(a, b)
+
+
+def count_block_tests(monkeypatch) -> list[int]:
+    """[solves, eigvalsh calls made inside _solve_or_pinv], counted from now on."""
+    counts = [0, 0]
+    inside = []
+    solve, eigvalsh = gaussian._solve_or_pinv, np.linalg.eigvalsh
+
+    def counted_solve(*args):
+        counts[0] += 1
+        inside.append(True)
+        try:
+            return solve(*args)
+        finally:
+            inside.pop()
+
+    def counted_eigvalsh(A):
+        counts[1] += bool(inside)
+        return eigvalsh(A)
+
+    monkeypatch.setattr(gaussian, "_solve_or_pinv", counted_solve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    return counts
+
+
+def rotated_spec(eigenvalues) -> GaussianSpec:
+    d = len(eigenvalues)
+    Q = np.linalg.qr(np.random.default_rng(d).normal(size=(d, d)))[0]
+    S = (Q * np.asarray(eigenvalues)) @ Q.T
+    return GaussianSpec(np.zeros(d), (S + S.T) / 2)
+
+
+def test_a_regular_spec_builds_its_games_without_a_block_test(monkeypatch):
+    spec = ar1_spec(5, 0.9, 5)
+    counts = count_block_tests(monkeypatch)
+    gate_games(5, spec, MODELS[5])
+    assert counts[0] > 0 and counts[1] == 0
+
+
+@pytest.mark.parametrize("spec_of", [
+    lambda: singular_spec(4),
+    lambda: rotated_spec([1.0, 0.5, 0.2, 3e-12]),  # cond 3.3e11: in (1e11, 1e12]
+    lambda: rotated_spec([1.0, 0.5, 0.2, -5e-11]),  # PSD-repaired
+], ids=["singular", "cond-3e11", "repaired"])
+def test_an_irregular_spec_keeps_the_block_test(monkeypatch, spec_of):
+    spec = spec_of()
+    assert not spec.regular
+    counts = count_block_tests(monkeypatch)
+    gate_games(4, spec, MODELS[4])
+    assert counts[0] > 0 and counts[1] == counts[0]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 8), st.floats(0.0, 11.0), st.integers(-6, 6), st.integers(0, 2**32 - 1))
+def test_no_principal_block_of_a_regular_spec_fails_the_block_test(d, log_cond, k, seed):
+    # Cauchy interlacing: each block's spectrum lies inside the spec's, so a
+    # spec of condition number <= 1e11 has no block of computed condition
+    # number above 1e12, eigvalsh's roundoff included
+    rng = np.random.default_rng(seed)
+    w = 10.0 ** (k - log_cond * np.concatenate([[0.0, 1.0], rng.uniform(size=d)])[:d])
+    Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    S = (Q * w) @ Q.T
+    spec = GaussianSpec(np.zeros(d), (S + S.T) / 2)
+    if not spec.regular:  # the computed condition number rounded above 1e11
+        assert log_cond > 10.9
+        return
+    for layer in games.layers(d)[1:]:
+        known, _ = games.split_masks(layer, d)
+        blocks = np.linalg.eigvalsh(gaussian._block(spec.cov, known, known))
+        assert np.all(blocks[:, 0] > blocks[:, -1] * 1e-12)
+
+
+# ------------------------------------------------------------ flat gather
+
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_block_equals_the_two_index_gather(contiguous):
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(9, 9))
+    rows, cols = rng.integers(0, 9, size=(6, 4)), rng.integers(0, 9, size=(6, 5))
+    if not contiguous:
+        A = rng.normal(size=(9, 18))[:, ::2]  # every other column: a strided view
+        rows = rng.integers(0, 9, size=(4, 6)).T  # transposed index stacks
+        cols = rng.integers(0, 9, size=(6, 10))[:, 1::2]
+    assert A.flags.c_contiguous == rows.flags.c_contiguous == contiguous
+    want = A[rows[..., :, None], cols[..., None, :]]
+    got = gaussian._block(A, rows, cols)
+    assert got.shape == want.shape == (6, 4, 5) and np.array_equal(got, want)
+    assert np.array_equal(gaussian._block(A, rows[0], cols[0]), A[np.ix_(rows[0], cols[0])])
+
+
+@pytest.mark.parametrize("d", [0, 1, 4, 7])
+def test_split_masks_gives_c_contiguous_index_rows(d):
+    for layer in games.layers(d):
+        known, rest = games.split_masks(layer, d)
+        assert known.flags.c_contiguous and rest.flags.c_contiguous
+        assert known.shape[1] + rest.shape[1] == d

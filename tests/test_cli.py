@@ -435,6 +435,52 @@ def test_a_model_option_with_game_exits_2(tmp_path, capsys, option, value):
     assert f"{option} is not read with --game" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["attribute", "--gam", "g2.json", "--method", "shapley"],
+    ["attribute", "--game", "g2.json", "--method", "shapley", "--meth", "pv"],
+    ["attribute", "--game", "g2.json", "--method", "shapley", "--gauss", "spec.json"],
+    ["paper-bench", "--ou", "report.json"],
+], ids=["gam", "meth", "gauss", "ou"])
+def test_an_abbreviated_option_exits_2(g2_file, tmp_path, capsys, argv):
+    abbreviated = next(a for a in argv if a in ("--gam", "--meth", "--gauss", "--ou"))
+    argv = [g2_file if a == "g2.json" else str(tmp_path / a) if a.endswith("json") else a
+            for a in argv]
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {abbreviated}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--game", "g.json"], "--unnormalized is not read with --game"),
+    (["--model", "x1", "--value-fn", "marginal", "--data", "bg.csv", "--x", "1"],
+     "--unnormalized is not read by --value-fn marginal"),
+    (["--model", "x1", "--value-fn", "cond-gauss", "--gaussian", "spec.json", "--x", "1"],
+     "--unnormalized is not read by --value-fn cond-gauss"),
+    (["--model", "x1", "--value-fn", "cond-mc", "--gaussian", "spec.json", "--x", "1",
+      "--seed", "1"], "--unnormalized is not read by --value-fn cond-mc"),
+])
+def test_unnormalized_outside_sobol_exits_2(tmp_path, capsys, argv, message):
+    # no file exists, so reading one would exit 3
+    argv = [str(tmp_path / a) if a.endswith(("csv", "json")) else a for a in argv]
+    assert main(["attribute", "--method", "shapley", "--unnormalized", *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value_fn", ["sobol", "sobol-total"])
+def test_unnormalized_sobol_reports_the_model_variance(tmp_path, capsys, value_fn):
+    # Var(x1 + x2 + x1*x2) at rho = 0.5: 3 for the sum, 1 + rho^2 for the
+    # product, and no covariance between them (odd Gaussian moments)
+    spec = tmp_path / "rho05.json"
+    spec.write_text('{"mean":[0,0],"cov":[[1,0.5],[0.5,1]]}')
+    argv = ["attribute", "--model", "x1+x2+x1*x2", "--gaussian", str(spec),
+            "--value-fn", value_fn, "--method", "shapley"]
+    code, out = run(capsys, *argv, "--unnormalized")
+    assert code == 0
+    assert json.loads(out)["v_full"] == pytest.approx(4.25, rel=1e-12)
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["v_full"] == pytest.approx(1.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--gaussian", "spec.json", "--x", "1"], "--model requires --value-fn"),
     (["--value-fn", "marginal", "--data", "bg.csv"], "marginal needs --x"),

@@ -73,6 +73,7 @@ def test_conditional_singular_needs_opt_in():
     # first two coordinates perfectly correlated: conditioning block singular
     S = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
     spec = GaussianSpec(np.zeros(3), S)
+    assert not spec.regular  # so each block takes the singular test
     with pytest.raises(GameError, match="singular"):
         gaussian_conditional(spec, 0b011, np.array([1.0, 1.0]))
     cond = gaussian_conditional(spec, 0b011, np.array([1.0, 1.0]), allow_singular=True)
