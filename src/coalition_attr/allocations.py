@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -98,7 +99,9 @@ class WeightSystem:
 
     Presets: "egalitarian" (1/|A| to each member), "min-owner" (everything
     to the lowest-indexed member), "custom" (missing entries are zero).
-    Stored entries override the preset.
+    Stored entries override the preset. `validate(d)` checks them against a
+    d-player game and returns them as corrections to the preset, so payoffs
+    are the preset's own path plus one scatter of the corrections.
     """
 
     preset: str = "egalitarian"
@@ -121,55 +124,45 @@ class WeightSystem:
                     f"nonzero weight for player {j + 1} outside {coalition_label(mask)}"
                 )
 
-    def weight(self, j: int, mask: int) -> float:
-        if (j, mask) in self.entries:
-            return self.entries[(j, mask)]
-        if not (mask >> j) & 1:
-            return 0.0
-        if self.preset == "egalitarian":
-            return 1.0 / mask.bit_count()
-        if self.preset == "min-owner":
-            return 1.0 if mask & -mask == 1 << j else 0.0
-        return 0.0
-
-    def _overrides(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stored entries as arrays (player, mask, w - preset weight) for d players."""
-        for j, mask in self.entries:
+    def validate(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored entries as arrays (player, mask, w - preset weight), after
+        checking them against d players and that every nonempty coalition's
+        weights sum to 1 (presets do by construction, so only the corrections
+        can move a total)."""
+        for j, mask in self.entries:  # as Python ints, before any int64 conversion
             if j >= d or mask >= 1 << d:
                 raise GameError(f"weight entry (player {j + 1}, coalition {mask}) is out of range "
                                 f"for {d} players")
         n = len(self.entries)
         players = np.fromiter((j for j, _ in self.entries), np.int64, n)
         masks = np.fromiter((m for _, m in self.entries), np.int64, n)
-        w = np.fromiter(self.entries.values(), float, n)
+        delta = np.fromiter(self.entries.values(), float, n)
         inside = (masks >> players) & 1 == 1
         if self.preset == "egalitarian":
-            return players, masks, w - inside / np.maximum(np.bitwise_count(masks), 1)
-        if self.preset == "min-owner":
-            return players, masks, w - ((masks & -masks) == 1 << players)
-        return players, masks, w
-
-    def validate(self, d: int) -> None:
-        """Check that every nonempty coalition's weights sum to 1 (presets do by
-        construction, so only the stored entries' deviations can move a total)."""
-        _, masks, delta = self._overrides(d)
+            delta = delta - inside / np.maximum(np.bitwise_count(masks), 1)
+        elif self.preset == "min-owner":
+            delta = delta - ((masks & -masks) == 1 << players)
         totals = np.full(1 << d, 0.0 if self.preset == "custom" else 1.0)
         np.add.at(totals, masks, delta)
         bad = np.flatnonzero(~(np.abs(totals[1:] - 1.0) <= WEIGHT_TOL))
         if bad.size:
             mask = int(bad[0]) + 1
-            total = sum(self.weight(j, mask) for j in range(d))
-            raise GameError(f"weights on {coalition_label(mask)} sum to {total}, expected 1")
+            raise GameError(f"weights on {coalition_label(mask)} sum to {float(totals[mask])}, "
+                            "expected 1")
+        return players, masks, delta
 
     @classmethod
     def from_json(cls, text: bytes | str) -> "WeightSystem":
-        """Parse {"preset":...} and/or {"entries":[{"player","coalition","w"},...]}."""
+        """Parse {"preset":...} and/or {"entries":[{"player","coalition","w"},...]};
+        a second entry for the same player and coalition is a ValueError."""
         obj = orjson.loads(text)
-        entries = {
-            (json_int(e["player"], "weight entry player") - 1,
-             json_int(e["coalition"], "weight entry coalition")): json_number(e["w"], "weight w")
-            for e in obj.get("entries", [])
-        }
+        entries = {}
+        for e in obj.get("entries", []):
+            key = (json_int(e["player"], "weight entry player") - 1,
+                   json_int(e["coalition"], "weight entry coalition"))
+            if key in entries:
+                raise ValueError(f"repeated weight entry (player {key[0] + 1}, coalition {key[1]})")
+            entries[key] = json_number(e["w"], "weight w")
         preset = obj.get("preset", "custom" if entries else "egalitarian")
         if type(preset) is not str:
             raise TypeError(f"weight preset must be a string, got {orjson.dumps(preset).decode()}")
@@ -178,17 +171,16 @@ class WeightSystem:
 
 def harsanyi_allocate(g: Game, weights: WeightSystem) -> Allocation:
     """Redistribute each nonempty coalition's dividend among its members."""
-    weights.validate(g.d)
+    players, masks, delta = weights.validate(g.d)
     phi = dividends_fast(g).dividends
     if weights.preset == "egalitarian":
         payoffs = _equal_split(phi, g.d)
     elif weights.preset == "min-owner":
-        masks = np.arange(1, 1 << g.d)
-        lowest = np.frexp(masks & -masks)[1] - 1  # index of the lowest set bit
+        nonempty = np.arange(1, 1 << g.d)
+        lowest = np.frexp(nonempty & -nonempty)[1] - 1  # index of the lowest set bit
         payoffs = np.bincount(lowest, weights=phi[1:], minlength=g.d)
     else:
         payoffs = np.zeros(g.d)
-    players, masks, delta = weights._overrides(g.d)
     np.add.at(payoffs, players, delta * phi[masks])
     return Allocation(payoffs, f"harsanyi-{weights.preset}")
 
@@ -220,9 +212,10 @@ def weber_monte_carlo(
         s = mv.sum(axis=0)
         return m, s, ((mv - s / m) ** 2).sum(axis=0)
 
-    if threads > 1:
+    workers = min(threads, nchunks, os.cpu_count() or 1)  # more would only wait
+    if workers > 1:
         # each chunk runs in a copy of the caller's context, so under its np.errstate
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(contextvars.copy_context().run, run_chunk, k)
                        for k in range(nchunks)]
             parts = [f.result() for f in futures]

@@ -147,8 +147,8 @@ def _build_game(args) -> tuple[Game, dict]:
         raise CliError(f"{vf} needs {' and '.join(missing)}", EXIT_CONFIG)
 
     x = _parse_vector(args.x) if args.x else None
-    spec = None
-    if args.gaussian:
+    spec = None  # marginal takes d from --x and never reads --gaussian
+    if "gaussian" in needs:
         spec = _load_json(args.gaussian, GaussianSpec.from_json, "Gaussian spec")
     d = spec.d if spec is not None else len(x)  # every value function needs one of them
     try:

@@ -39,6 +39,8 @@ def full_mask(d: int) -> int:
 
 def members(mask: int) -> tuple[int, ...]:
     """Players in a coalition mask, ascending."""
+    if mask < 0:
+        raise ValueError(f"negative coalition mask {mask}")
     out = []
     j = 0
     while mask:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -67,3 +68,36 @@ def shapley_oracle(g: Game) -> np.ndarray:
             totals[j] += g.values[with_j] - g.values[without]
         count += 1
     return totals / count
+
+
+def reference_weight(w, j: int, mask: int) -> float:
+    """Player j's share of the dividend of coalition mask under the weight
+    system w, one entry at a time: a stored entry if there is one, else the
+    preset's rule (egalitarian 1/|T| to each member, min-owner everything to
+    the lowest member, custom nothing), and 0 outside the coalition."""
+    if (j, mask) in w.entries:
+        return w.entries[(j, mask)]
+    ms = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+    if j not in ms:
+        return 0.0
+    if w.preset == "egalitarian":
+        return 1.0 / len(ms)
+    if w.preset == "min-owner":
+        return 1.0 if j == ms[0] else 0.0
+    return 0.0
+
+
+class InlinePool:
+    """Stands in for a ThreadPoolExecutor: runs each task at once, so no
+    thread is started."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future

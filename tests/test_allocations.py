@@ -24,9 +24,10 @@ from coalition_attr import (
     weber_monte_carlo,
 )
 from coalition_attr import allocations
-from coalition_attr.allocations import _equal_split
+from coalition_attr.allocations import MC_CHUNK, _equal_split
 from coalition_attr.games import popcount_table
-from conftest import g3_fixture, random_game, shapley_oracle, unanimity_game
+from conftest import (InlinePool, g3_fixture, random_game, reference_weight,
+                      shapley_oracle, unanimity_game)
 
 
 # ---------------------------------------------------------------- Shapley
@@ -268,7 +269,8 @@ def test_weber_mc_deterministic(g2):
     assert np.array_equal(a.stderr, b.stderr)
 
 
-def test_weber_mc_serial_vs_parallel_bit_identical():
+def test_weber_mc_serial_vs_parallel_bit_identical(monkeypatch):
+    monkeypatch.setattr(allocations.os, "cpu_count", lambda: 4)  # threads on any machine
     rng = np.random.default_rng(30)
     g = random_game(6, rng)
     a = weber_monte_carlo(g, Uniform(), 10_000, seed=123, threads=1)
@@ -278,7 +280,8 @@ def test_weber_mc_serial_vs_parallel_bit_identical():
 
 
 @pytest.mark.parametrize("dist", ["pmf", "dag"])
-def test_weber_mc_threads_bit_identical_for_non_uniform_orders(dist):
+def test_weber_mc_threads_bit_identical_for_non_uniform_orders(monkeypatch, dist):
+    monkeypatch.setattr(allocations.os, "cpu_count", lambda: 2)  # threads on any machine
     rng = np.random.default_rng(31)
     g = random_game(6, rng)
     if dist == "pmf":
@@ -303,6 +306,26 @@ def test_weber_mc_stderr_survives_large_worths():
     exact = np.sqrt(mv.var(axis=0) / n)
     a = weber_monte_carlo(g, Uniform(), n, seed=3)
     assert np.allclose(a.stderr, exact, rtol=0.1)
+
+
+@pytest.mark.parametrize("threads, n, cpus, want", [
+    (100_000, 5000, 8, [5]),            # one worker per chunk at most
+    (100_000, 10 * MC_CHUNK, 3, [3]),   # one worker per CPU at most
+    (2, 10 * MC_CHUNK, 2, [2]),
+    (2, MC_CHUNK, 2, []),               # one chunk: no pool
+    (4, 10 * MC_CHUNK, None, []),       # an unknown CPU count counts as one
+])
+def test_weber_mc_pool_is_capped_by_chunks_and_cpus(monkeypatch, threads, n, cpus, want):
+    g = random_game(4, np.random.default_rng(34))
+    serial = weber_monte_carlo(g, Uniform(), n, seed=6)
+    sizes = []
+    monkeypatch.setattr(allocations, "ThreadPoolExecutor",
+                        lambda max_workers: sizes.append(max_workers) or InlinePool())
+    monkeypatch.setattr(allocations.os, "cpu_count", lambda: cpus)
+    a = weber_monte_carlo(g, Uniform(), n, seed=6, threads=threads)
+    assert sizes == want
+    assert np.array_equal(a.payoffs, serial.payoffs)
+    assert np.array_equal(a.stderr, serial.stderr)
 
 
 def test_weber_mc_rejects_tiny_n(g2):
@@ -370,10 +393,69 @@ def test_harsanyi_linearity_in_game():
 
 def test_weight_system_json():
     w = WeightSystem.from_json('{"preset":"egalitarian"}')
-    assert w.weight(0, 0b11) == pytest.approx(0.5)
+    assert reference_weight(w, 0, 0b11) == pytest.approx(0.5)
     w2 = WeightSystem.from_json('{"entries":[{"player":1,"coalition":1,"w":1.0}]}')
-    assert w2.weight(0, 1) == 1.0
+    assert w2.entries == {(0, 1): 1.0}
+    assert reference_weight(w2, 0, 1) == 1.0
     assert w2.preset == "custom"
+
+
+@pytest.mark.parametrize("d, preset, entries, players, masks, delta", [
+    (3, "egalitarian", {(0, 3): 0.7, (1, 3): 0.3}, [0, 1], [3, 3], [0.7 - 0.5, 0.3 - 0.5]),
+    (3, "min-owner", {(0, 6): 0.0, (1, 6): 0.5, (2, 6): 0.5}, [0, 1, 2], [6, 6, 6],
+     [0.0, -0.5, 0.5]),
+    (2, "custom", {(0, 1): 1.0, (1, 2): 1.0, (0, 3): 0.4, (1, 3): 0.6}, [0, 1, 0, 1],
+     [1, 2, 3, 3], [1.0, 1.0, 0.4, 0.6]),
+    (3, "egalitarian", {}, [], [], []),
+])
+def test_validate_returns_the_entries_as_corrections_to_the_preset(d, preset, entries, players,
+                                                                      masks, delta):
+    got = WeightSystem(preset, entries).validate(d)
+    assert [a.dtype for a in got] == [np.int64, np.int64, np.float64]
+    assert got[0].tolist() == players and got[1].tolist() == masks
+    assert got[2].tolist() == delta
+
+
+def test_harsanyi_converts_the_entries_once(g2, monkeypatch):
+    calls = []
+    validate = WeightSystem.validate
+    monkeypatch.setattr(WeightSystem, "validate",
+                        lambda self, d: calls.append(d) or validate(self, d))
+    w = WeightSystem("egalitarian", {(0, 3): 0.25, (1, 3): 0.75})
+    assert harsanyi_allocate(g2, w).payoffs.tolist() == [1.0 + 0.25 * 1.0, 2.0 + 0.75 * 1.0]
+    assert calls == [2]
+
+
+def test_first_bad_weight_entry_in_input_order_is_named():
+    # entry 1 lies outside its coalition, entry 2 is negative: entry 1 is named
+    with pytest.raises(GameError, match=r"^nonzero weight for player 2 outside \{1\}$"):
+        WeightSystem("custom", {(1, 1): 0.5, (0, 1): -0.5})
+    with pytest.raises(GameError, match=r"^negative weight for player 1 on \{1\}$"):
+        WeightSystem("custom", {(0, 1): -0.5, (1, 1): 0.5})
+
+
+def test_weight_entry_beyond_the_game_is_named_with_the_player_count(g2):
+    w = WeightSystem("custom", {(2, 1): 0.0})
+    with pytest.raises(GameError, match=r"^weight entry \(player 3, coalition 1\) is out of "
+                                        r"range for 2 players$"):
+        harsanyi_allocate(g2, w)
+    w = WeightSystem("egalitarian", {(19, 10**19): 0.5})  # past int64, checked as a Python int
+    with pytest.raises(GameError, match=r"^weight entry \(player 20, coalition "
+                                        r"10000000000000000000\) is out of range for 2 players$"):
+        harsanyi_allocate(g2, w)
+
+
+@pytest.mark.parametrize("preset, entries, message", [
+    ("custom", {(0, 1): 1.0, (1, 2): 1.0, (0, 3): 0.4, (1, 3): 0.5},
+     "weights on {1,2} sum to 0.9, expected 1"),
+    ("egalitarian", {(0, 3): 0.7}, "weights on {1,2} sum to 1.2, expected 1"),
+    ("min-owner", {(1, 2): 0.5}, "weights on {2} sum to 0.5, expected 1"),
+    ("custom", {(0, 1): 1.0}, "weights on {2} sum to 0.0, expected 1"),
+])
+def test_weight_sum_message_names_the_coalition_and_its_total(g2, preset, entries, message):
+    with pytest.raises(GameError) as err:
+        harsanyi_allocate(g2, WeightSystem(preset, entries))
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------- proportional

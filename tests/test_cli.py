@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from coalition_attr import Allocation, Game, cli
+from coalition_attr import Allocation, Game, allocations, cli
 from coalition_attr.cli import main
-from conftest import g3_fixture, unanimity_game
+from conftest import InlinePool, g3_fixture, unanimity_game
 
 
 @pytest.fixture
@@ -650,14 +650,56 @@ def test_exact_gate_still_rejects_unit_scale_gap(tmp_path, capsys):
 
 
 def test_out_of_range_weight_entries_exit_4(g2_file, tmp_path, capsys):
+    # 10**19 lies past int64 (player 20 is its lowest member)
     for player, coalition, weight in ((1, -1, 0.3), (0, 1, 0.3), (3, 4, 0.3), (3, 1, 0.0),
-                                      (1, 5, 0.3)):
+                                      (1, 5, 0.3), (20, 10**19, 0.5)):
         w = tmp_path / "w.json"
         w.write_text(json.dumps(
             {"entries": [{"player": player, "coalition": coalition, "w": weight}]}))
         assert main(["attribute", "--game", g2_file, "--method", "harsanyi",
                      "--weights", str(w)]) == 4, (player, coalition)
-        assert "out of range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "out of range" in err and "Traceback" not in err
+
+
+def test_repeated_weight_entry_exits_3(g2_file, tmp_path, capsys):
+    # the second entry for player 1 on {1,2} no longer replaces the first
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({"entries": [{"player": 1, "coalition": 3, "w": 0.9},
+                                         {"player": 1, "coalition": 3, "w": 0.3},
+                                         {"player": 2, "coalition": 3, "w": 0.7}]}))
+    assert main(["attribute", "--game", g2_file, "--method", "harsanyi", "--weights", str(w)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "bad weight system" in out.err
+    assert "repeated weight entry (player 1, coalition 3)" in out.err
+
+
+@pytest.mark.parametrize("spec", ["3-feature", "malformed", "missing"])
+def test_marginal_never_reads_the_gaussian_spec(tmp_path, capsys, spec):
+    data = tmp_path / "bg.csv"
+    data.write_text("a,b\n0,0\n2,1\n")
+    path = tmp_path / "spec.json"
+    if spec == "3-feature":
+        path.write_text('{"mean":[0,0,0],"cov":[[1,0,0],[0,1,0],[0,0,1]]}')
+    elif spec == "malformed":
+        path.write_text('{"mean":[0,0],')
+    argv = ["attribute", "--model", "x1+x2+x1*x2", "--value-fn", "marginal", "--data", str(data),
+            "--x", "1,1", "--method", "shapley"]
+    want = run(capsys, *argv)
+    assert want[0] == 0 and run(capsys, *argv, "--gaussian", str(path)) == want
+
+
+def test_weber_mc_thread_count_is_capped_by_chunks(g2_file, monkeypatch, capsys):
+    argv = ["attribute", "--game", g2_file, "--method", "weber-mc", "--seed", "4", "--n", "3000"]
+    want = run(capsys, *argv)
+    sizes = []
+    monkeypatch.setattr(allocations, "ThreadPoolExecutor",
+                        lambda max_workers: sizes.append(max_workers) or InlinePool())
+    monkeypatch.setattr(allocations.os, "cpu_count", lambda: 64)
+    monkeypatch.setenv("COALITION_ATTR_THREADS", "100000")
+    assert run(capsys, *argv) == want
+    assert sizes == [3]  # 3000 samples are 3 chunks
 
 
 @pytest.mark.parametrize("argv, game, message", [

@@ -30,6 +30,12 @@ def test_mask_helpers():
     assert coalition_label(0) == "{}"
 
 
+@pytest.mark.parametrize("helper", [members, coalition_label])
+def test_mask_helpers_refuse_a_negative_mask(helper):
+    with pytest.raises(ValueError, match="negative coalition mask -1"):
+        helper(-1)
+
+
 def test_every_public_name_resolves():
     import coalition_attr
 

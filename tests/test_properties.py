@@ -1,7 +1,7 @@
 """Property tests for the array allocation core, at magnitudes 1e-8 to 1e9.
 
 Each exact allocation is compared with an independent route: brute-force
-dividend sharing through `WeightSystem.weight` and `dividends_recursive`, or
+dividend sharing through a scalar weight reference and `dividends_recursive`, or
 the subset recursion of the proportional value, or, for proportional
 marginal effects on duals with zero worths, the proportional value of the
 worths shifted by a small epsilon. The game-theoretic invariants (linearity,
@@ -36,6 +36,7 @@ from coalition_attr import (
 )
 from coalition_attr.cli import verify_game
 from coalition_attr.games import EXACT_TOL, magnitude
+from conftest import reference_weight
 
 REL = 1e-10
 FLOOR = 4 * np.finfo(float).smallest_subnormal
@@ -99,7 +100,7 @@ def _tol(*gs: Game) -> float:
 def test_harsanyi_equals_brute_force_dividend_sharing(g, preset, seed):
     w = weight_system(preset, g.d, seed)
     phi = dividends_recursive(g).dividends
-    want = [sum(w.weight(j, m) * phi[m] for m in range(1, 1 << g.d)) for j in range(g.d)]
+    want = [sum(reference_weight(w, j, m) * phi[m] for m in range(1, 1 << g.d)) for j in range(g.d)]
     got = harsanyi_allocate(g, w).payoffs
     assert np.max(np.abs(got - want)) <= _tol(g)
 
