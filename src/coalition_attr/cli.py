@@ -51,6 +51,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
+MC_SAMPLES = 10000  # --n where a Monte Carlo route runs without one
 
 
 class CliError(Exception):
@@ -158,16 +159,18 @@ def _build_game(args) -> tuple[Game, dict]:
     return route(model, spec, x, args), {"model": args.model, "value_fn": vf, "d": d}
 
 
-def _mc_seed(args) -> int:
-    """--seed, which every Monte Carlo path requires."""
+def _draws(args) -> tuple[int, int]:
+    """(--n, --seed) of a Monte Carlo route: --seed is required, --n defaults
+    to MC_SAMPLES. The route is marked as one that reads them."""
     if args.seed is None:
         raise CliError("Monte Carlo paths require --seed", EXIT_CONFIG)
-    return args.seed
+    args.drawn = True
+    return (MC_SAMPLES if args.n is None else args.n), args.seed
 
 
 def _sobol(sobol, model: Model, spec: GaussianSpec, args) -> Game:
     """A Sobol game: closed form for a certified quadratic, else Monte Carlo."""
-    mc = None if model.quad is not None else (args.n, _mc_seed(args))
+    mc = None if model.quad is not None else _draws(args)
     return sobol(model, spec, normalize=not args.unnormalized, mc=mc)
 
 
@@ -187,7 +190,7 @@ VALUE_FNS = {
                  ("data", "x")),
     "cond-gauss": (lambda f, spec, x, args: conditional_gaussian_game(_certified(f), spec, x),
                    ("gaussian", "x")),
-    "cond-mc": (lambda f, spec, x, args: conditional_mc_game(f, spec, x, args.n, _mc_seed(args)),
+    "cond-mc": (lambda f, spec, x, args: conditional_mc_game(f, spec, x, *_draws(args)),
                 ("gaussian", "x")),
     "sobol": (lambda f, spec, x, args: _sobol(sobol_closed_game, f, spec, args), ("gaussian",)),
     "sobol-total": (lambda f, spec, x, args: _sobol(sobol_total_game, f, spec, args),
@@ -218,8 +221,8 @@ def _weights(args) -> WeightSystem:
 
 
 def _weber_mc(g: Game, args) -> Allocation:
-    seed = _mc_seed(args)
-    return weber_monte_carlo(g, _order_distribution(g.d, args), args.n, seed, threads=_threads())
+    n, seed = _draws(args)
+    return weber_monte_carlo(g, _order_distribution(g.d, args), n, seed, threads=_threads())
 
 
 # Each --method's route, (game, args) -> Allocation, and the file options it
@@ -278,6 +281,14 @@ def cmd_attribute(args) -> int:
     tol = EXACT_TOL * magnitude(allocated)
     if alloc.stderr is None and abs(gap) > tol:  # only Monte Carlo sets a stderr
         raise CliError(f"efficiency gap {gap} exceeds {tol:.3g} for exact method", EXIT_NUMERICAL)
+    # Checked once the routes have run, so an input error is reported first,
+    # and only a route that drew (a Sobol route on a certified quadratic
+    # draws nothing) counts as reading them.
+    for option in ("seed", "n"):
+        if getattr(args, option) is not None and not args.drawn:
+            readers = [f"--value-fn {args.value_fn}"] * bool(args.model) + [f"--method {args.method}"]
+            raise CliError(f"--{option} is not read by {' or '.join(readers)}: nothing is drawn "
+                           "at random", EXIT_CONFIG)
     report = {
         "method": alloc.method,
         "players": list(range(1, target.d + 1)),
@@ -448,13 +459,14 @@ def make_parser() -> argparse.ArgumentParser:
     at.add_argument("--pmf", help="explicit random-order pmf JSON")
     at.add_argument("--weights", help="weight system JSON")
     at.add_argument("--dag", help="causal DAG JSON")
-    at.add_argument("--n", type=sample_count, default=10000, help="Monte Carlo sample count")
+    at.add_argument("--n", type=sample_count,
+                    help=f"Monte Carlo sample count (default {MC_SAMPLES})")
     at.add_argument("--seed", type=seed)
     at.add_argument("--on-dual", action="store_true", help="allocate the dual game")
     at.add_argument("--unnormalized", action="store_true", help="skip variance normalization")
     at.add_argument("--out", help="report path (default stdout)")
     at.add_argument("--format", choices=["json", "csv"], default="json")
-    at.set_defaults(func=cmd_attribute)
+    at.set_defaults(func=cmd_attribute, drawn=False)
 
     dv = sub.add_parser("dividends", help="dividend table of a game file", allow_abbrev=False)
     dv.add_argument("--game", required=True)

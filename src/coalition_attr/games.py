@@ -252,6 +252,13 @@ class Allocation:
             object.__setattr__(self, "stderr", s)
 
 
+def check_player_count(d: int) -> None:
+    """Refuse a model game of more than DEFAULT_MAX_PLAYERS players: its table
+    would not fit."""
+    if not (1 <= d <= DEFAULT_MAX_PLAYERS):
+        raise GameError(f"player count {d} outside [1, {DEFAULT_MAX_PLAYERS}]")
+
+
 def build_game(
     d: int,
     oracle: Callable[[np.ndarray], np.ndarray],
@@ -266,8 +273,7 @@ def build_game(
     the oracle returns an (N, len(masks)) array, one row per game, and
     build_game returns the list of the N games.
     """
-    if not (1 <= d <= DEFAULT_MAX_PLAYERS):
-        raise GameError(f"player count {d} outside [1, {DEFAULT_MAX_PLAYERS}]")
+    check_player_count(d)
     values = np.empty((1 << d,) if stack is None else (stack, 1 << d))
     for masks in layers(d, chunk or BUILD_CHUNK):
         worths = np.asarray(oracle(masks), dtype=float)

@@ -16,6 +16,7 @@ from .games import GameError, json_numbers, split_masks
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
 REGULAR_COND = 1e11  # a spec of condition number at most this has no singular block
+SWEEP_BLOCK = 256  # the most coalitions in one block of `sweep`: every state of the low 8 players
 
 
 @dataclass(frozen=True)
@@ -146,6 +147,52 @@ def gaussian_conditional(
         return spec
     mu = spec.mean[rest] + W @ (np.asarray(x_known, float) - spec.mean[known])
     return GaussianSpec(mu, S)
+
+
+def _sweep_into(S: np.ndarray, m: np.ndarray, X: np.ndarray, h: int, k: int) -> None:
+    """States k..2k-1 of S (covariances) and m (means, (N, states, d)): states
+    0..k-1 conditioned on coordinate h as well. With u = Σ_A e_h / (Σ_A)_hh,
+    Σ_{A+h} = Σ_A - u (e_h' Σ_A) and m_{A+h} = m_A + u (x_h - m_A,h): row h
+    of Σ is zeroed by construction, and column h and m_h are set exactly."""
+    src, dst = S[:k], S[k:2 * k]
+    col = src[:, :, h]
+    u = col / col[:, h, None]
+    np.multiply(u[:, :, None], src[:, h, None, :], out=dst)
+    np.subtract(src, dst, out=dst)
+    dst[:, :, h] = 0.0
+    if len(X):
+        src, dst = m[:, :k], m[:, k:2 * k]
+        np.multiply(X[:, None, h, None] - src[..., h, None], u, out=dst)
+        dst += src
+        dst[..., h] = X[:, None, h]
+
+
+def sweep(spec: GaussianSpec, X: np.ndarray | None = None):
+    """Condition a regular spec on every coalition by the sweep operator
+    (Beaton 1964; Goodnight 1979), one rank-one update per coalition.
+
+    Yields, in mask order, blocks (S, m) of at most SWEEP_BLOCK coalitions A:
+    S (k, d, d) holds Σ_A, the covariance of X given X_A, zero on A's rows
+    and columns; m (N, k, d) the conditional means of the N instances X
+    (N, d), x on A (none without X). The players above the low 8 are swept
+    first, by doubling; each of their states then goes through the low
+    players as one block. The buffers are reused: read a block, or write
+    over it, before the next one. Every pivot of a regular spec is at least
+    its least eigenvalue, so no pivot is tested.
+    """
+    d = spec.d
+    X = np.empty((0, d)) if X is None else X
+    low = min(d, SWEEP_BLOCK.bit_length() - 1)
+    high, high_m = np.empty((1 << (d - low), d, d)), np.empty((len(X), 1 << (d - low), d))
+    high[0], high_m[:, 0] = spec.cov, spec.mean
+    for j in range(d - low):
+        _sweep_into(high, high_m, X, low + j, 1 << j)
+    S, m = np.empty((1 << low, d, d)), np.empty((len(X), 1 << low, d))
+    for i in range(len(high)):
+        S[0], m[:, 0] = high[i], high_m[:, i]
+        for j in range(low):
+            _sweep_into(S, m, X, j, 1 << j)
+        yield S, m
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,19 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as _expr
-from .games import Game, GameError, build_game, full_mask
+from .games import Game, GameError, build_game, check_player_count, full_mask
 from .gaussian import (
     GaussianSpec,
     QuadForm,
     _condition_blocks,
+    _dot,
+    _trace_of_product,
     checked_psd,
     conditional_mean_quad,
     conditional_var_quad,
     gaussian_conditional,  # unused here, but the benchmark's tracer wraps this name
     subvector,
+    sweep,
 )
 
 MAX_ROWS = 1 << 13  # the most points any one model call sees
@@ -110,23 +113,49 @@ def conditional_gaussian_game(f: Model, spec: GaussianSpec, x: np.ndarray) -> Ga
 
     x is one instance (d,), which gives its game, or a stack of N instances
     (N, d), which gives the list of their N games: each block of masks is
-    conditioned once for all of them.
+    conditioned once for all of them. A regular spec is swept: v(A) =
+    q(m_A) + tr(M Σ_A) from the conditional means and covariances of
+    `sweep`; an irregular one conditions each layer block by solves.
     """
     x = np.asarray(x, dtype=float)
     _check_features(f, spec, x)
     q = f.quad_form()
     X = x.reshape(-1, f.d)
-    full = full_mask(f.d)
 
-    def worth(masks: np.ndarray) -> np.ndarray:
-        if masks[0] == full:
-            return f(X)[:, None]  # exact by construction, free of roundoff
-        blocks = _condition_blocks(spec, masks, allow_pinv=True)
-        known, cond = blocks[0], conditional_mean_quad(q, blocks)
-        return np.array([cond(row[known]) for row in X]).reshape(len(X), len(masks))
+    if spec.regular:
+        def reduce(S: np.ndarray, m: np.ndarray) -> np.ndarray:
+            # one instance at a time, so a stacked game is its single game bit for bit
+            trace = S.reshape(len(S), -1) @ q.M.reshape(-1)
+            return np.array([q.c + mn @ q.b + _dot(mn @ q.M, mn) + trace
+                             for mn in m]).reshape(m.shape[:2])
 
-    games = build_game(f.d, worth, stack=len(X))
+        values = _swept_table(spec, reduce, X)
+        values[:, -1] = f(X)  # exact by construction, free of roundoff
+        games = [Game._adopt(f.d, v) for v in values]
+    else:
+        full = full_mask(f.d)
+
+        def worth(masks: np.ndarray) -> np.ndarray:
+            if masks[0] == full:
+                return f(X)[:, None]  # exact by construction, free of roundoff
+            blocks = _condition_blocks(spec, masks, allow_pinv=True)
+            known, cond = blocks[0], conditional_mean_quad(q, blocks)
+            return np.array([cond(row[known]) for row in X]).reshape(len(X), len(masks))
+
+        games = build_game(f.d, worth, stack=len(X))
     return games[0] if x.ndim == 1 else games
+
+
+def _swept_table(spec: GaussianSpec, reduce, X: Optional[np.ndarray] = None) -> np.ndarray:
+    """The worths that reduce(S, m) gives block by block of `sweep(spec, X)`:
+    a (2^d,) table, or an (N, 2^d) one for N instances X (N, d)."""
+    check_player_count(spec.d)
+    values = np.empty((1 << spec.d,) if X is None else (len(X), 1 << spec.d))
+    lo = 0
+    for S, m in sweep(spec, X):
+        values[..., lo:lo + len(S)] = reduce(S, m)
+        lo += len(S)
+    return values
 
 
 def conditional_mc_game(
@@ -222,7 +251,11 @@ def _sobol_game(f: Model, spec: GaussianSpec, normalize: bool,
                 mc: Optional[tuple[int, int]], total_index: bool) -> Game:
     if spec.d != f.d:
         raise GameError("model and Gaussian spec disagree on feature count")
-    if mc is None:
+    if mc is not None:
+        g = _sobol_mc(f, spec, *mc, total_index)
+    elif spec.regular:
+        g = _sobol_swept(f.quad_form(), spec, total_index)
+    else:
         q = f.quad_form()
         full = full_mask(f.d)
 
@@ -235,16 +268,34 @@ def _sobol_game(f: Model, spec: GaussianSpec, normalize: bool,
             return conditional_mean_quad(q, blocks).var_under(spec.mean[known], Saa)
 
         g = build_game(f.d, worth)
-        total = float(q.var_under(spec.mean, spec.cov))
-    else:
-        n, seed = mc
-        g = _sobol_mc(f, spec, n, seed, total_index)
-        total = g.values[-1]
     if not normalize:
         return g
+    total = g.values[-1]  # Var f(X) under both indices, so v(D) = 1 exactly
     if total <= 0:
         raise GameError("total model variance is zero; cannot normalize")
     return Game(f.d, g.values / total)
+
+
+def _sobol_swept(q: QuadForm, spec: GaussianSpec, total_index: bool) -> Game:
+    """The closed-form Sobol game of a regular spec from `sweep`'s Σ_A, with
+    g = b + 2 M mu. The closed index is Var E[f | X_A] = g' P_A g +
+    2 tr((M P_A)^2), with P_A = Σ - Σ_A, so v(empty) = 0 exactly; the total
+    index is E[Var(f | X_B)] = g' Σ_B g + 4 tr(Σ_B M Σ M) - 2 tr((Σ_B M)^2)
+    at B = D \\ A, which is 0 exactly at B = D."""
+    d, M = spec.d, q.M
+    g = q.b + 2 * M @ spec.mean
+    weights = np.outer(g, g)
+    if total_index:
+        weights = weights + 4 * M @ spec.cov @ M
+
+    def reduce(S: np.ndarray, m: np.ndarray) -> np.ndarray:
+        P = S if total_index else np.subtract(spec.cov, S, out=S)
+        PM = (P.reshape(-1, d) @ M).reshape(P.shape)
+        square = 2 * _trace_of_product(PM, PM)
+        return P.reshape(len(P), -1) @ weights.reshape(-1) + (-square if total_index else square)
+
+    values = _swept_table(spec, reduce)
+    return Game._adopt(d, values[::-1].copy() if total_index else values)
 
 
 def _sobol_mc(f: Model, spec: GaussianSpec, n: int, seed: int, total_index: bool) -> Game:

@@ -8,6 +8,7 @@ magnitude.
 """
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -364,8 +365,12 @@ def test_pointwise_oracles_take_one_coalition_closed_forms_a_layer(monkeypatch):
     marginal_game(f, np.ones((5, d)), x)
     assert batches == [1] * (1 << d)
     batches.clear()
+    # a regular spec's closed forms are swept, with no oracle; an irregular
+    # one's take a layer per call
+    conditional_gaussian_game(f, spec, x)
+    assert batches == []
     layered = [
-        lambda: conditional_gaussian_game(f, spec, x),
+        lambda: conditional_gaussian_game(f, singular_spec(d), x),
         lambda: sobol_closed_game(cubic, spec, mc=(10, 1)),
         lambda: sobol_total_game(cubic, spec, mc=(10, 1)),
     ]
@@ -468,11 +473,15 @@ def test_skipping_the_singular_block_test_changes_no_game(monkeypatch, d, name, 
     spec = spec_of(d)
     assert spec.regular == (name != "singular")
     got = gate_games(d, spec, model)
-    # REGULAR_COND = 0 makes every spec irregular: each block takes the test
+    # REGULAR_COND = 0 makes every spec irregular: each block takes the test,
+    # and the closed forms condition by solves instead of the sweep
     monkeypatch.setattr(gaussian, "REGULAR_COND", 0.0)
     parent = spec_of(d)
     assert not parent.regular
-    for a, b in zip(got, gate_games(d, parent, model)):
+    want = gate_games(d, parent, model)
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b) if name == "singular" else close(a, b)
+    for a, b in zip(got[3:], want[3:]):  # Monte Carlo games
         assert np.array_equal(a, b)
 
 
@@ -570,3 +579,155 @@ def test_split_masks_gives_c_contiguous_index_rows(d):
         known, rest = games.split_masks(layer, d)
         assert known.flags.c_contiguous and rest.flags.c_contiguous
         assert known.shape[1] + rest.shape[1] == d
+
+
+# ------------------------------------------------------------ sweep
+
+def solved(spec: GaussianSpec) -> GaussianSpec:
+    """The spec flagged irregular: its closed forms condition each layer by
+    solves, the covariance route, instead of sweeping."""
+    twin = GaussianSpec(spec.mean, spec.cov)
+    object.__setattr__(twin, "regular", False)
+    return twin
+
+
+def closed_forms(f, spec, x) -> list[np.ndarray]:
+    return [conditional_gaussian_game(f, spec, x).values,
+            sobol_closed_game(f, spec, normalize=False).values,
+            sobol_total_game(f, spec, normalize=False).values]
+
+
+def random_quadratic(rng: np.random.Generator, d: int) -> Model:
+    terms = [f"{rng.normal():.4f}*x{i + 1}" for i in range(d)]
+    terms += [f"{rng.normal():.4f}*x{rng.integers(d) + 1}*x{rng.integers(d) + 1}"
+              for _ in range(d + 1)]
+    return Model.from_expression(f"{rng.normal():.3f} + " + " + ".join(terms), d)
+
+
+def rotated(rng: np.random.Generator, w: np.ndarray) -> np.ndarray:
+    Q = np.linalg.qr(rng.normal(size=(len(w), len(w))))[0]
+    S = (Q * w) @ Q.T
+    return (S + S.T) / 2
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 8), st.floats(0.0, 3.0), st.integers(-3, 3), st.integers(0, 2**32 - 1))
+def test_sweep_agrees_with_the_covariance_route(d, log_cond, k, seed):
+    rng = np.random.default_rng(seed)
+    w = 10.0 ** (k - log_cond * np.concatenate([[0.0, 1.0], rng.uniform(size=d)])[:d])
+    spec = GaussianSpec(rng.normal(size=d) * 10.0 ** (k / 2), rotated(rng, w))
+    assert spec.regular
+    f, x = random_quadratic(rng, d), spec.mean + rng.normal(size=d) * 10.0 ** (k / 2)
+    for got, want in zip(closed_forms(f, spec, x), closed_forms(f, solved(spec), x)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def mp_closed_forms(q, spec: GaussianSpec, x: np.ndarray) -> list[np.ndarray]:
+    """The three closed forms at 60 digits, from the float inputs taken as
+    exact: cond-gauss q(m_A) + tr(M Σ_A), the closed Sobol index
+    g'P_A g + 2 tr((M P_A)^2) with P_A = Σ - Σ_A, and the total index
+    E[Var(f | X_B)] at B = D \\ A."""
+    mp.mp.dps = 60
+    d = spec.d
+    mat = lambda a: mp.matrix([[mp.mpf(float(t)) for t in row] for row in np.atleast_2d(a)])
+    Sig, M = mat(spec.cov), mat(q.M)
+    mu, b, xv = mat(spec.mean[:, None]), mat(q.b[:, None]), mat(x[:, None])
+    g = b + 2 * M * mu
+    K = M * Sig * M
+    tr = lambda A: mp.fsum(A[i, i] for i in range(A.rows))
+    cg, closed, total = [], [], []
+    for mask in range(1 << d):
+        known = list(members(mask))
+        S, m = Sig, mu
+        if known:
+            rest = [j for j in range(d) if j not in known]
+            inv = mp.matrix([[Sig[i, j] for j in known] for i in known]) ** -1
+            S, m = mp.zeros(d, d), mp.matrix(xv)
+            for i in rest:
+                W = [mp.fsum(Sig[i, a] * inv[r, c] for r, a in enumerate(known))
+                     for c in range(len(known))]
+                m[i] = mu[i] + mp.fsum(W[c] * (xv[a] - mu[a]) for c, a in enumerate(known))
+                for j in rest:
+                    S[i, j] = Sig[i, j] - mp.fsum(W[c] * Sig[a, j] for c, a in enumerate(known))
+        cg.append(q.c + (b.T * m)[0] + (m.T * M * m)[0] + tr(M * S))
+        MP, SM = M * (Sig - S), S * M
+        closed.append((g.T * (Sig - S) * g)[0] + 2 * tr(MP * MP))
+        total.append((g.T * S * g)[0] + 4 * tr(S * K) - 2 * tr(SM * SM))
+    return [np.array([float(t) for t in v]) for v in (cg, closed, total[::-1])]
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("cond", [1e2, 1e5, 1e8, 1e11])
+def test_sweep_error_is_the_covariance_routes_against_60_digits(d, cond):
+    rng = np.random.default_rng(d)
+    w = np.geomspace(1.0, 1.01 / cond, d)  # 1.01: the rounded spec stays regular at 1e11
+    spec = GaussianSpec(rng.normal(size=d), rotated(rng, w))
+    assert spec.regular
+    f = random_quadratic(rng, d)
+    x = spec.mean + np.linalg.cholesky(spec.cov) @ rng.normal(size=d)
+    refs = mp_closed_forms(f.quad, spec, x)
+    refs[0][-1] = f(x)  # v(D) = f(x), as the game reports it
+    for ref, got, want in zip(refs, closed_forms(f, spec, x), closed_forms(f, solved(spec), x)):
+        scale = np.max(np.abs(ref))
+        sweep_error, solve_error = np.max(np.abs(got - ref)), np.max(np.abs(want - ref))
+        assert sweep_error <= 10 * solve_error + 1e-13 * scale
+
+
+def test_a_regular_spec_sweeps_without_a_solve_or_an_oracle(monkeypatch):
+    d = 5
+    f, spec = Model.from_expression(MODELS[d], d), ar1_spec(d, 0.9, d)
+    assert spec.regular
+    counts = count_block_tests(monkeypatch)
+    monkeypatch.setattr(value_functions, "build_game", None)  # any oracle walk would fail
+    closed_forms(f, spec, np.ones(d))
+    assert counts == [0, 0]
+    assert conditional_gaussian_game(f, spec, np.empty((0, d))) == []
+
+
+def test_sweep_blocks_come_in_mask_order(monkeypatch):
+    d = 6
+    rng = np.random.default_rng(4)
+    spec, X = GaussianSpec(rng.normal(size=d), rotated(rng, rng.uniform(0.5, 2.0, d))), \
+        rng.normal(size=(3, d))
+    monkeypatch.setattr(gaussian, "SWEEP_BLOCK", 4)
+    blocks = [(S.copy(), m.copy()) for S, m in gaussian.sweep(spec, X)]
+    assert [len(S) for S, _ in blocks] == [4] * 16 and [m.shape for _, m in blocks] == [(3, 4, d)] * 16
+    S, m = np.concatenate([S for S, _ in blocks]), np.concatenate([m for _, m in blocks], axis=1)
+    for mask in range(1 << d):
+        known, rest = list(members(mask)), rest_of(mask, d)
+        # zero on A's rows and columns, and x on A, exactly
+        assert not S[mask][known].any() and not S[mask][:, known].any()
+        assert np.array_equal(m[:, mask, known], X[:, known])
+        for i, x in enumerate(X):
+            cond = gaussian_conditional(spec, mask, x[known])
+            assert np.allclose(m[i, mask, rest], cond.mean, rtol=0, atol=1e-13)
+            assert np.allclose(S[mask][np.ix_(rest, rest)], cond.cov, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("block", [1, 2, 16, 1024])
+def test_the_sweep_block_size_changes_no_game_beyond_roundoff(monkeypatch, block):
+    d = 6
+    f, spec = Model.from_expression(MODELS[d], d), ar1_spec(d, 0.5, d)
+    x = np.random.default_rng(d).normal(size=d)
+    want = closed_forms(f, spec, x)
+    monkeypatch.setattr(gaussian, "SWEEP_BLOCK", block)
+    for got, ref in zip(closed_forms(f, spec, x), want):
+        assert close(got, ref)
+
+
+def test_closed_form_memory_stays_below_the_covariance_routes():
+    # the covariance route peaks at 4.7-4.8 MiB for each of these games
+    d = 14
+    terms = [f"x{i + 1}*x{i % d + 2}" for i in range(d - 1)] + [f"x{i + 1}" for i in range(d)]
+    f = Model.from_expression(" + ".join(terms) + " + x3^2", d)
+    idx = np.arange(d)
+    spec = GaussianSpec(np.zeros(d), 0.5 ** np.abs(idx[:, None] - idx[None, :]))
+    for build in (lambda: conditional_gaussian_game(f, spec, np.linspace(-1.0, 1.0, d)),
+                  lambda: sobol_closed_game(f, spec), lambda: sobol_total_game(f, spec)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20

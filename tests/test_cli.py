@@ -144,7 +144,8 @@ def test_verify_fails_a_wrong_shapley_below_unit_scale(tmp_path, monkeypatch, ca
 def test_every_method_and_verify_pass_below_unit_scale(tmp_path, capsys, scale):
     game = power_game_file(tmp_path, 8, scale)
     for method in cli.METHODS:
-        code, out = run(capsys, "attribute", "--game", game, "--method", method, "--seed", "1")
+        seed = ["--seed", "1"] if method == "weber-mc" else []  # the one method that draws
+        code, out = run(capsys, "attribute", "--game", game, "--method", method, *seed)
         assert code == 0, method
     code, out = run(capsys, "verify", "--game", game)
     assert code == 0 and "FAIL" not in out
@@ -510,6 +511,47 @@ def gauss3_file(tmp_path):
     return str(p)
 
 
+UNDRAWN = {
+    "game": (["--game", "g2"], "--method shapley"),
+    "cond-gauss": (["--model", "x1 + x2*x3", "--value-fn", "cond-gauss", "--gaussian", "g3",
+                    "--x", "1,1,1"], "--value-fn cond-gauss or --method shapley"),
+    "sobol": (["--model", "x1 + x2*x3", "--value-fn", "sobol", "--gaussian", "g3"],
+              "--value-fn sobol or --method shapley"),
+    "sobol-total": (["--model", "x1 + x2*x3", "--value-fn", "sobol-total", "--gaussian", "g3"],
+                    "--value-fn sobol-total or --method shapley"),
+}
+
+
+@pytest.mark.parametrize("given", [["--seed", "7"], ["--n", "50"], ["--n", "50", "--seed", "7"]],
+                         ids=["seed", "n", "both"])
+@pytest.mark.parametrize("source", UNDRAWN)
+def test_seed_or_n_where_nothing_is_drawn_exits_2(g2_file, gauss3_file, tmp_path, capsys,
+                                                  source, given):
+    # a certified quadratic's Sobol games are closed forms: nothing is drawn
+    argv, readers = UNDRAWN[source]
+    argv = [{"g2": g2_file, "g3": gauss3_file}.get(a, a) for a in argv]
+    out = tmp_path / "report.json"
+    assert main(["attribute", *argv, "--method", "shapley", *given, "--out", str(out)]) == 2
+    option = "seed" if "--seed" in given else "n"
+    assert f"--{option} is not read by {readers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["weber-mc", "cond-mc", "sobol-mc"])
+def test_a_route_that_draws_reads_the_seed_and_defaults_n(g2_file, gauss3_file, capsys,
+                                                           monkeypatch, route):
+    if route == "sobol-mc":  # a cubic model has no closed form
+        argv = ["attribute", "--model", "x1*x2*x3", "--gaussian", gauss3_file,
+                "--value-fn", "sobol", "--method", "shapley"]
+    else:
+        argv = _mc_argv(route, g2_file, gauss3_file)[:-2]  # without its --n
+    monkeypatch.setattr(cli, "MC_SAMPLES", 30)
+    code, default = run(capsys, *argv, "--seed", "5")
+    assert code == 0 and json.loads(default)["seed"] == 5
+    assert run(capsys, *argv, "--seed", "5", "--n", "30") == (0, default)
+    assert cli.make_parser().parse_args(argv).n is None
+
+
 def test_power_overflow_exits_2(tmp_path, capsys):
     data = tmp_path / "bg.csv"
     data.write_text("x1,x2\n1e200,1\n0,0\n")
@@ -730,7 +772,7 @@ def _strict_json(text: str):
 
 def test_every_report_kind_is_strict_json(g2_file, tmp_path, capsys):
     reports = []
-    for argv in (["attribute", "--game", g2_file, "--method", "shapley", "--seed", "3"],
+    for argv in (["attribute", "--game", g2_file, "--method", "shapley"],
                  ["attribute", "--game", g2_file, "--method", "weber-mc", "--seed", "3",
                   "--n", "50"],
                  ["dividends", "--game", g2_file],

@@ -239,6 +239,26 @@ def test_sobol_total_grand_values():
     assert g.values[0b100] == pytest.approx(0.0, abs=1e-12)  # dual of v({1,2}) = 1
 
 
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("kind", ["regular", "singular"])
+def test_closed_form_endpoints_are_exact(kind, seed):
+    # v(empty) = 0 under both Sobol indices, a normalized v(D) = 1 and a
+    # cond-gauss v(D) = f(x), exactly, on both conditioning routes
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 7))
+    B = rng.normal(size=(d, d if kind == "regular" else d - 1))
+    spec = GaussianSpec(rng.normal(size=d), (B @ B.T + (B @ B.T).T) / 2)
+    assert spec.regular == (kind == "regular")
+    terms = [f"{rng.normal():.3f}*x{i + 1}*x{rng.integers(d) + 1}" for i in range(d)]
+    f = Model.from_expression(" + ".join(terms) + " + x1", d)
+    x = rng.normal(size=d)
+    for sobol in (sobol_closed_game, sobol_total_game):
+        assert sobol(f, spec, normalize=False).v_empty == 0.0
+        g = sobol(f, spec, normalize=True)
+        assert g.v_empty == 0.0 and g.v_full == 1.0
+    assert conditional_gaussian_game(f, spec, x).v_full == f(x)
+
+
 def test_sobol_zero_variance_rejected():
     f = Model.from_expression("3", 2)
     with pytest.raises(GameError, match="variance"):
