@@ -29,11 +29,13 @@ MC_CHUNK = 1024
 def _marginal_pass(g: Game, before: np.ndarray, after: np.ndarray | None = None) -> np.ndarray:
     """Per player j, the sum over S without j of before[S] after[S | j] (v(S | j) - v(S)),
     with after = 1 if omitted. The view (-1, 2, 2^j) pairs each S (middle index 0)
-    with S | j (index 1), as in `dividends._subset_sums`: one pass per player."""
+    with S | j (index 1), as in `dividends._subset_sums`: one pass per player, each
+    writing its gains into the same half-table buffer."""
     payoffs = np.empty(g.d)
+    buf = np.empty(len(g.values) // 2)
     for j in range(g.d):
         pairs = g.values.reshape(-1, 2, 1 << j)
-        gain = pairs[:, 1] - pairs[:, 0]
+        gain = np.subtract(pairs[:, 1], pairs[:, 0], out=buf.reshape(-1, 1 << j))
         gain *= before.reshape(-1, 2, 1 << j)[:, 0]
         if after is not None:
             gain *= after.reshape(-1, 2, 1 << j)[:, 1]

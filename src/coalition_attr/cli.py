@@ -76,16 +76,26 @@ def _read_bytes(path: str) -> bytes:
         raise CliError(f"cannot read {path}: {e}", EXIT_DATA) from e
 
 
-def _load_json(path: str, parse, what: str, numerical: bool = False):
-    """Parse a JSON input file from its bytes (orjson checks the UTF-8); a
-    structurally invalid one is a data error, and so is one that fails
-    validation (GameError), unless `numerical` leaves that to main (exit 4)."""
+def _load_json(path: str, parse, what: str, numerical: bool = False, stream: bool = False):
+    """Parse a JSON input file from its bytes (orjson checks the UTF-8), or
+    with `stream` from the open binary file; a file that cannot be read, at
+    open or later, is a data error. So is a structurally invalid one and one
+    that fails validation (GameError), unless `numerical` leaves that to main
+    (exit 4)."""
     try:
-        return parse(_read_bytes(path))
+        with open(path, "rb") as fh:
+            return parse(fh if stream else fh.read())
+    except OSError as e:
+        raise CliError(f"cannot read {path}: {e}", EXIT_DATA) from e
     except (KeyError, TypeError, AttributeError, ValueError) as e:
         if numerical and isinstance(e, GameError):
             raise
         raise CliError(f"bad {what} {path}: {e}", EXIT_DATA) from e
+
+
+def _load_game(path: str) -> Game:
+    """A game file, which Game.from_json reads from the open file in pieces."""
+    return _load_json(path, Game.from_json, "game file", stream=True)
 
 
 def _is_number(cell: str) -> bool:
@@ -136,7 +146,7 @@ def _build_game(args) -> tuple[Game, dict]:
         for option in ("value_fn", "data", "gaussian", "x", "unnormalized"):
             if getattr(args, option):
                 raise CliError(f"--{option.replace('_', '-')} is not read with --game", EXIT_CONFIG)
-        return _load_json(args.game, Game.from_json, "game file"), {"game": args.game}
+        return _load_game(args.game), {"game": args.game}
     vf = args.value_fn
     if not vf:
         raise CliError("--model requires --value-fn", EXIT_CONFIG)
@@ -253,7 +263,8 @@ def _write_report(report: dict, args) -> None:
             writer.writerow(row)
         data = buf.getvalue().encode()
     else:
-        data = orjson.dumps(report, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
+        data = orjson.dumps(report, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE
+                            | orjson.OPT_SERIALIZE_NUMPY)
     if getattr(args, "out", None):
         try:
             with open(args.out, "wb") as fh:
@@ -307,14 +318,14 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_dividends(args) -> int:
-    g = _load_json(args.game, Game.from_json, "game file")
+    g = _load_game(args.game)
     t = dividends_fast(g)
     checksum = float(np.sum(t.dividends))
     if not math.isfinite(checksum):
         raise CliError(f"dividend checksum {checksum} is not finite", EXIT_NUMERICAL)
     report = {
         "d": g.d,
-        "dividends": t.dividends.tolist(),
+        "dividends": t.dividends,
         "checksum": checksum,
         "v_full": g.v_full,
     }
@@ -362,7 +373,7 @@ def verify_game(g: Game, seed: int = 0) -> list[tuple[str, bool]]:
 
 
 def cmd_verify(args) -> int:
-    g = _load_json(args.game, Game.from_json, "game file")
+    g = _load_game(args.game)
     checks = verify_game(g)
     all_ok = True
     for name, ok in checks:

@@ -6,9 +6,10 @@ player j belongs to the coalition. Human-facing layers (CLI, reports) use
 """
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import BinaryIO, Callable, Optional
 
 import numpy as np
 import orjson
@@ -20,7 +21,8 @@ VALUES_CHUNK = 1 << 16  # bytes of a game file's values array parsed per orjson 
 
 # A game file that is exactly {"d": <scalar>, "values": [...]} or
 # {"values": [...], "d": <scalar>}: the "[" that ends _HEAD opens the top-level
-# values array, and in a flat list of numbers the first "]" after it closes it.
+# values array, and in a flat list of numbers the last "]" of the file closes
+# it when _TAIL follows (any "]" before it leaves a piece that orjson rejects).
 _HEAD = re.compile(rb'\s*\{\s*(?:"d"\s*:\s*[-+.\w]+\s*,\s*)?"values"\s*:\s*\[')
 _TAIL = re.compile(rb'\]\s*(?:,\s*"d"\s*:\s*[-+.\w]+\s*)?\}\s*')
 # Without brackets, braces or quotes, a JSON value that is not a number is
@@ -69,7 +71,7 @@ def split_masks(masks, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def popcount_table(d: int) -> np.ndarray:
     """Cardinality of every coalition mask below 2^d, as uint8."""
-    return np.bitwise_count(np.arange(1 << d))
+    return np.bitwise_count(np.arange(1 << d, dtype=np.uint32))
 
 
 def layers(d: int, block: int = BUILD_CHUNK,
@@ -120,32 +122,27 @@ class Game:
         return float(self.values[-1])
 
     def to_json(self) -> str:
-        return orjson.dumps({"d": self.d, "values": self.values.tolist()}).decode()
+        return orjson.dumps({"d": self.d, "values": self.values},
+                            option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
     @classmethod
-    def from_json(cls, data: bytes | str) -> "Game":
+    def from_json(cls, data: bytes | str | BinaryIO) -> "Game":
         """Read {"d": d, "values": [...]}, where values is a flat list of 2^d
-        JSON numbers, from UTF-8 bytes or text.
+        JSON numbers, from UTF-8 bytes or text or a binary file.
 
         When the document is just those two keys, the values array is parsed
         in pieces of about VALUES_CHUNK bytes straight into the float64
-        table: no parse tree of the file and no list of 2^d Python floats is
+        table, read from the file one piece at a time: the file is never held
+        whole, and neither a parse tree nor a list of 2^d Python floats is
         built. Any other layout is parsed whole, under the same checks.
         """
         if isinstance(data, str):
             data = data.encode()
-        head = _HEAD.match(data)
-        if head:
-            start = head.end()
-            end = data.find(b"]", start)
-            if end >= 0 and _TAIL.fullmatch(data, end):
-                if any(data.find(c, start, end) >= 0 for c in _NOT_NUMBERS):
-                    raise GameError(_FLAT.format("values"))
-                d = _player_count(orjson.loads(data[:start] + data[end:]), (end - start) // 2 + 1)
-                return cls._adopt(d, _read_numbers(data, start, end, 1 << d))
-        obj = orjson.loads(data)
-        values = json_numbers(obj.get("values", []) if isinstance(obj, dict) else [], "values")
-        return cls._adopt(_player_count(obj, len(values)), values)
+        if isinstance(data, bytes):
+            data = io.BytesIO(data)
+        elif not data.seekable():  # a pipe: the tail is read before the values
+            data = io.BytesIO(data.read())
+        return cls._adopt(*_read_game(data))
 
 
 def _frozen_table(d: int, v: np.ndarray, what: str = "value") -> np.ndarray:
@@ -199,17 +196,63 @@ def _player_count(obj, room: int) -> int:
     return d
 
 
-def _read_numbers(data: bytes, start: int, end: int, n: int) -> np.ndarray:
-    """The n numbers of the comma-separated list data[start:end] as float64,
-    parsed by orjson in pieces of about VALUES_CHUNK bytes cut at commas."""
+def _read_game(fh: BinaryIO) -> tuple[int, np.ndarray]:
+    """d and table of the game document in a seekable binary stream."""
+    pieces = [fh.read(VALUES_CHUNK)]
+    while pieces[-1] and b"[" not in pieces[-1]:  # the "[" that ends _HEAD is the first one
+        pieces.append(fh.read(VALUES_CHUNK))
+    head = b"".join(pieces)
+    match = _HEAD.match(head)
+    tail = _tail(fh, match.end()) if match else None
+    if tail is not None:
+        start, end = match.end(), tail[0]
+        d = _player_count(orjson.loads(head[:start] + tail[1]), (end - start) // 2 + 1)
+        values = _read_numbers(fh, start, end, 1 << d)
+        if values is not None:
+            return d, values
+    fh.seek(0)
+    obj = orjson.loads(fh.read())
+    values = json_numbers(obj.get("values", []) if isinstance(obj, dict) else [], "values")
+    return _player_count(obj, len(values)), values
+
+
+def _tail(fh: BinaryIO, start: int) -> Optional[tuple[int, bytes]]:
+    """The offset of the file's last "]" at or after `start`, looked for from
+    the end one piece at a time, and the bytes from it to the end, when they
+    close the values array as _TAIL does."""
+    pos = fh.seek(0, io.SEEK_END)
+    while pos > start:
+        step = min(VALUES_CHUNK, pos - start)
+        pos -= step
+        fh.seek(pos)
+        cut = fh.read(step).rfind(b"]")
+        if cut >= 0:
+            fh.seek(pos + cut)
+            tail = fh.read()
+            return (pos + cut, tail) if _TAIL.fullmatch(tail) else None
+    return None
+
+
+def _read_numbers(fh: BinaryIO, start: int, end: int, n: int) -> Optional[np.ndarray]:
+    """The n numbers of the comma-separated list in bytes start..end of fh as
+    float64, read in pieces of VALUES_CHUNK bytes and parsed by orjson up to
+    each piece's last comma: the number a piece ends inside is carried into
+    the next. None when the list holds a byte of _NOT_NUMBERS, so that it is
+    not a flat list of numbers."""
     out = np.empty(n)
-    k, pos = 0, start
+    k, pos, carry = 0, start, bytearray()  # carry: the bytes from offset pos not yet parsed
+    fh.seek(start)
     while True:
-        cut = data.find(b",", pos + VALUES_CHUNK, end)
+        piece = fh.read(min(VALUES_CHUNK, end - pos - len(carry)))
+        if any(c in piece for c in _NOT_NUMBERS):
+            return None
+        last = not piece or pos + len(carry) + len(piece) == end
+        cut = len(piece) if last else piece.rfind(b",")
         if cut < 0:
-            cut = end
+            carry += piece
+            continue
         try:
-            part = orjson.loads(b"[" + data[pos:cut] + b"]")
+            part = orjson.loads(b"[" + carry + piece[:cut] + b"]")
         except orjson.JSONDecodeError as e:
             raise GameError(f"{e.msg} at byte {pos + e.pos - 1} of the game file") from e
         if not part:
@@ -218,9 +261,9 @@ def _read_numbers(data: bytes, start: int, end: int, n: int) -> np.ndarray:
             raise GameError(f"expected {n} coalition values, got more")
         out[k:k + len(part)] = part
         k += len(part)
-        if cut == end:
+        if last:
             break
-        pos = cut + 1
+        pos, carry = pos + len(carry) + cut + 1, bytearray(piece[cut + 1:])
     if k != n:
         raise GameError(f"expected {n} coalition values, got {k}")
     return out

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,44 @@ def test_streaming_routes_match_masked_gathers(d, scale, offset):
     phi = g.values - offset  # any table stands in for dividends
     tol = 1e-14 * np.max(np.abs(phi))
     assert np.max(np.abs(_equal_split(phi, d) - _equal_split_masked_gather(phi, d))) <= tol
+
+
+def _marginal_pass_per_player(g: Game, before, after=None) -> np.ndarray:
+    """Reference: the per-player marginal pass with a fresh gain array per player."""
+    payoffs = np.empty(g.d)
+    for j in range(g.d):
+        pairs = g.values.reshape(-1, 2, 1 << j)
+        gain = pairs[:, 1] - pairs[:, 0]
+        gain = gain * before.reshape(-1, 2, 1 << j)[:, 0]
+        if after is not None:
+            gain = gain * after.reshape(-1, 2, 1 << j)[:, 1]
+        payoffs[j] = gain.sum()
+    return payoffs
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 9, 13])
+def test_marginal_pass_with_one_buffer_is_the_per_player_pass_bit_for_bit(d):
+    rng = np.random.default_rng(40 + d)
+    g = Game(d, 1e8 * rng.normal(size=1 << d))
+    by_size = np.array([1.0 / (d * math.comb(d - 1, s)) for s in range(d)] + [0.0])
+    want = _marginal_pass_per_player(g, by_size[popcount_table(d)])
+    assert shapley_direct(g).payoffs.tobytes() == want.tobytes()
+    assert weber_allocate(g, Uniform()).payoffs.tobytes() == want.tobytes()
+    p = causal_orderings(d, [(j, j + 1) for j in range(0, d - 1, 2)])
+    want = _marginal_pass_per_player(g, p.reach_counts() / p.counts[0], p.counts)
+    assert weber_allocate(g, p).payoffs.tobytes() == want.tobytes()
+
+
+def test_shapley_direct_peaks_below_twice_the_table():
+    # the size weights (one table) and one half-table buffer of gains
+    g = Game(18, np.random.default_rng(8).normal(size=1 << 18))
+    tracemalloc.start()
+    try:
+        shapley_direct(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * g.values.nbytes
 
 
 def test_shapley_permutation_routes(g2):

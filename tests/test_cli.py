@@ -2,6 +2,7 @@ import json
 import warnings
 
 import numpy as np
+import orjson
 import pytest
 
 from coalition_attr import Allocation, Game, allocations, cli
@@ -803,6 +804,24 @@ def test_report_floats_round_trip_exactly(tmp_path, capsys):
     code, out = run(capsys, "attribute", "--game", str(p), "--method", "shapley-div")
     assert code == 0
     assert _strict_json(out)["payoffs"] == cli.shapley_dividends(g).payoffs.tolist()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+def test_tables_are_written_as_their_lists_would_be(tmp_path, capsys, scale):
+    edges = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1]
+    v = scale * np.random.default_rng(9).normal(size=1 << 8)
+    assert Game(3, edges + [1.0] * 3).to_json() == orjson.dumps(
+        {"d": 3, "values": edges + [1.0] * 3}).decode()
+    v[:4] = edges[:2] + edges[3:]  # the largest double would overflow the dividends
+    g = Game(8, v)
+    assert g.to_json() == orjson.dumps({"d": 8, "values": v.tolist()}).decode()
+    p = tmp_path / "g.json"
+    p.write_text(g.to_json())
+    code, out = run(capsys, "dividends", "--game", str(p))
+    phi = cli.dividends_fast(g).dividends
+    want = {"d": 8, "dividends": phi.tolist(), "checksum": float(np.sum(phi)), "v_full": g.v_full}
+    assert code == 0
+    assert out == orjson.dumps(want, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE).decode()
 
 
 def test_report_is_utf8_without_escapes(tmp_path, capsys):

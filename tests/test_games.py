@@ -1,5 +1,9 @@
+import io
 import json
 import math
+import os
+import re
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -18,7 +22,7 @@ from coalition_attr import (
     efficiency_gap,
     members,
 )
-from coalition_attr import dividends_fast, games, zeta_reconstruct
+from coalition_attr import cli, dividends_fast, games, zeta_reconstruct
 from coalition_attr.cli import main
 from coalition_attr.games import layers
 from conftest import g3_fixture, random_game
@@ -169,7 +173,7 @@ def _number(x) -> st.SearchStrategy[str]:
 
 
 @st.composite
-def game_texts(draw):
+def game_texts(draw, d_first: bool):
     """JSON game texts in the layouts that are read in chunks: "d" before or
     after "values", any JSON whitespace, and numbers written as repr of float64
     (subnormals and -0.0 among them), in E notation, or as integers."""
@@ -184,19 +188,29 @@ def game_texts(draw):
     body = ",".join(ws() + t + ws() for t in tokens)
     values = f'"values"{ws()}:{ws()}[{body}]'
     d_key = f'"d"{ws()}:{ws()}{d}'
-    pair = [d_key, values] if draw(st.booleans()) else [values, d_key]
+    pair = [d_key, values] if d_first else [values, d_key]
     return f"{ws()}{{{ws()}{pair[0]}{ws()},{ws()}{pair[1]}{ws()}}}{ws()}"
 
 
-@given(game_texts(), st.integers(1, 40))
+def _read(data: bytes, source: str) -> Game:
+    """Game.from_json of data given as bytes, or as a binary file holding them."""
+    if source == "bytes":
+        return Game.from_json(data)
+    with tempfile.TemporaryFile() as fh:
+        fh.write(data)
+        fh.seek(0)
+        return Game.from_json(fh)
+
+
+@given(st.booleans().flatmap(game_texts), st.integers(1, 40))
 def test_chunked_read_equals_json_loads_bit_for_bit(text, chunk):
     want = np.asarray(json.loads(text)["values"], dtype=float)
     with mock.patch.object(games, "VALUES_CHUNK", chunk):
-        got = Game.from_json(text.encode()).values
-    assert got.tobytes() == want.tobytes()
+        for source in ("bytes", "file"):
+            assert _read(text.encode(), source).values.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("text", [
+_MALFORMED = [
     '{"d":2,"values":[0,1,2,[4]]}',
     '{"d":2,"values":[[0,1],[2,4]]}',
     '{"d":2,"values":[0,1,"]",4]}',
@@ -226,14 +240,66 @@ def test_chunked_read_equals_json_loads_bit_for_bit(text, chunk):
     '{"meta":0,"d":60,"values":[0,1,2,4]}',
     '{"values":[0,1,2,4]}',
     '[0,1,2,4]',
-], ids=lambda text: text)
-@pytest.mark.parametrize("chunk", [1, games.VALUES_CHUNK])
+]
+
+
+def _d_last(text: str) -> str | None:
+    """text with its leading "d" member moved behind "values", if it has one."""
+    m = re.fullmatch(r'\{("d":[^,]*),("values":\[.*\])\}(.*)', text)
+    return m and f'{{{m[2]},{m[1]}}}{m[3]}'
+
+
+@pytest.mark.parametrize("text", _MALFORMED + list(filter(None, map(_d_last, _MALFORMED))),
+                         ids=lambda text: text)
+@pytest.mark.parametrize("chunk", [1, 7, games.VALUES_CHUNK])
 def test_malformed_game_file_exits_3(tmp_path, capsys, text, chunk):
     p = tmp_path / "g.json"
     p.write_text(text)
     with mock.patch.object(games, "VALUES_CHUNK", chunk):
         assert main(["attribute", "--game", str(p), "--method", "shapley"]) == 3
+        with pytest.raises((TypeError, ValueError)):
+            Game.from_json(text.encode())
     assert "bad game file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"d":2,"values":[0,1,2x,4]}', "unexpected character at byte 22"),
+    ('{"d":2,"values":[0, 01, 2, 4]}', "number with leading zero is not allowed at byte 20"),
+    ('{"values":[0,1,2x,4],"d":2}', "unexpected character at byte 16"),
+    ('{"values":[0, 01, 2, 4], "d":2}', "number with leading zero is not allowed at byte 14"),
+])
+@pytest.mark.parametrize("source", ["bytes", "file"])
+@pytest.mark.parametrize("chunk", [1, 7, games.VALUES_CHUNK])
+def test_parse_error_offsets_are_bytes_of_the_whole_file(text, message, source, chunk):
+    with mock.patch.object(games, "VALUES_CHUNK", chunk):
+        with pytest.raises(GameError, match=f"^{message} of the game file$"):
+            _read(text.encode(), source)
+
+
+class _FailingFile(io.BytesIO):
+    """A game file whose `fail_at`-th read raises an I/O error."""
+
+    def __init__(self, data: bytes, fail_at: int):
+        super().__init__(data)
+        self.reads_left = fail_at
+
+    def read(self, size=-1):
+        self.reads_left -= 1
+        if self.reads_left == 0:
+            raise OSError(5, "Input/output error")
+        return super().read(size)
+
+
+@pytest.mark.parametrize("fail_at", [1, 4, 6, 12])  # head, tail, first and later values pieces
+@pytest.mark.parametrize("command", ["attribute", "dividends", "verify"])
+def test_read_error_after_open_exits_3(monkeypatch, capsys, fail_at, command):
+    data = Game(4, np.arange(16.0)).to_json().encode()
+    monkeypatch.setattr(cli, "open", lambda path, mode: _FailingFile(data, fail_at),
+                        raising=False)
+    argv = [command, "--game", "g.json"] + ["--method", "shapley"] * (command == "attribute")
+    with mock.patch.object(games, "VALUES_CHUNK", 8):
+        assert main(argv) == 3
+    assert capsys.readouterr().err == "error: cannot read g.json: [Errno 5] Input/output error\n"
 
 
 def test_game_file_that_is_not_utf8_exits_3(tmp_path, capsys):
@@ -244,10 +310,22 @@ def test_game_file_that_is_not_utf8_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ['{"d":60,"values":[0,1,2,4]}',
+                                  '{"values":[0,1,2,4],"d":60}',
                                   '{"meta":0,"d":60,"values":[0,1,2,4]}'])
 def test_player_count_is_checked_before_the_table_is_allocated(text):
-    with pytest.raises(GameError, match=r"2\^60 coalition values"):
-        Game.from_json(text)
+    for source in ("bytes", "file"):
+        with pytest.raises(GameError, match=r"^d=60 needs 2\^60 coalition values; the values "
+                                            r"array holds <= 4$"):
+            _read(text.encode(), source)
+
+
+def test_game_is_read_from_a_pipe():
+    # a pipe cannot seek, so the values' tail cannot be read before them
+    r, w = os.pipe()
+    with open(r, "rb") as fh:
+        with open(w, "wb") as out:
+            out.write(b'{"values":[0,1,2,4],"d":2}')
+        assert Game.from_json(fh).values.tolist() == [0.0, 1.0, 2.0, 4.0]
 
 
 def test_nested_values_key_is_parsed_whole():
@@ -255,19 +333,24 @@ def test_nested_values_key_is_parsed_whole():
     assert g.d == 1 and g.values.tolist() == [0.0, 5.0]
 
 
-def test_read_peaks_near_the_table_size():
+def test_read_peaks_near_the_table_size(tmp_path):
     # the float64 table, which Game adopts without a copy: 2 MiB at d=18; a
-    # list of 2^18 Python floats alone would take about 8 MiB
+    # list of 2^18 Python floats alone would take about 8 MiB, and the file
+    # read whole about 5 MiB
     rng = np.random.default_rng(5)
-    data = Game(18, rng.normal(size=1 << 18)).to_json().encode()
-    tracemalloc.start()
-    try:
-        g = Game.from_json(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert g.values.nbytes == 2 << 20
-    assert peak < 1.5 * g.values.nbytes
+    p = tmp_path / "g.json"
+    p.write_text(Game(18, rng.normal(size=1 << 18)).to_json())
+    data = p.read_bytes()
+    for source in ("bytes", "file"):
+        with open(p, "rb") as fh:
+            tracemalloc.start()
+            try:
+                g = Game.from_json(data if source == "bytes" else fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert g.values.nbytes == 2 << 20
+        assert peak < 1.5 * g.values.nbytes
 
 
 def test_game_keeps_its_own_copy_of_a_callers_array():
